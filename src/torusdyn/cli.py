@@ -108,8 +108,11 @@ def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
     merged = dict(spec.options)
     for key in ("iterate_cap", "degree_bound", "torsion_cap", "seed", "retries"):
         flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+        if flag is None:
+            continue
+        if key != "seed" and flag <= 0:
+            raise ParseError(f"--{key.replace('_', '-')} must be positive")
+        merged[key] = flag
     tol = Fraction(merged["tolerance"]) if "tolerance" in merged else Fraction(1, 1000)
     if tol <= 0:
         raise ParseError("tolerance must be positive")

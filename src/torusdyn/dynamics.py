@@ -42,11 +42,11 @@ from .torus import (
     AffineMonomialMap,
     Coset,
     Subtorus,
-    coset_image,
     image_subtorus,
     monomial_image,
     quotient_map,
     restrict_endomorphism,
+    subtorus_image_under,
 )
 from . import oracle
 
@@ -468,14 +468,17 @@ def invariant_family(
     """Generate invariant coset families for a degree->1 map.
 
     Each torsion-point orbit of the hyperbolic factor transports to a cycle
-    of translates of the unipotent subtorus; the cycle is built by exact
+    of translates of the unipotent subtorus x1; the cycle is built by exact
     coset images under phi until it closes, which certifies invariance of
-    the union.  Families are emitted by increasing torsion order until the
-    budget is met.
+    the union.  phi carries x1 onto itself (checked once here), so a coset
+    image is x1 translated by the image of the base.  Families are emitted
+    by increasing torsion order until the budget is met.
     """
     if budget <= 0:
         return []
     dec = decompose(phi)
+    if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
+        raise AssertionError("the unipotent subtorus is not invariant under the map")
     det2 = abs(dec.a2.det())
     beta_inv = tuple(c.inverse() for c in dec.beta2_embedded)
     families: list[CosetFamily] = []
@@ -493,7 +496,7 @@ def invariant_family(
             cur = start
             max_cycle = dec.normalize_iterate * len(orbit) + 1
             while True:
-                cur = coset_image(phi, cur)
+                cur = Coset(phi.apply(cur.base), dec.x1)
                 if cur.same_set(start):
                     break
                 cycle.append(cur)

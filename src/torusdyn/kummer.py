@@ -11,6 +11,11 @@ root exists, which is what lets translation splittings and isogeny preimages
 stay exactly representable.
 
 Values are immutable and canonical: equal group elements compare equal.
+The entry points (the constructor, :meth:`KummerNumber.build`, the parser)
+validate or canonicalize their input.  The closed operations ``*``, ``**``,
+``inverse`` and :func:`char_eval` start from canonical values, so they build
+canonical results directly (torsion wrapped into [0, 1), zero exponents
+dropped, primes sorted) without checking them again.
 
 >>> two = KummerNumber.from_rational(2)
 >>> three = KummerNumber.from_rational(3)
@@ -86,7 +91,7 @@ class KummerNumber:
 
     @staticmethod
     def one() -> KummerNumber:
-        return KummerNumber(Fraction(0), ())
+        return _ONE
 
     @staticmethod
     def root_of_unity(order: int, power: int = 1) -> KummerNumber:
@@ -119,18 +124,35 @@ class KummerNumber:
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: KummerNumber) -> KummerNumber:
+        t = self.torsion
+        if other.torsion:
+            t += other.torsion
+            if t >= 1:
+                t -= 1
+        if not other.primes:
+            return _canonical(t, self.primes)
+        if not self.primes:
+            return _canonical(t, other.primes)
         exps = dict(self.primes)
         for p, e in other.primes:
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return KummerNumber.build(self.torsion + other.torsion, exps)
+            if p not in exps:
+                exps[p] = e
+            elif s := exps[p] + e:
+                exps[p] = s
+            else:
+                del exps[p]
+        return _canonical(t, tuple(sorted(exps.items())))
 
     def inverse(self) -> KummerNumber:
-        return KummerNumber.build(-self.torsion, {p: -e for p, e in self.primes})
+        t = self.torsion
+        return _canonical(1 - t if t else t, tuple((p, -e) for p, e in self.primes))
 
     def __pow__(self, k: int) -> KummerNumber:
         if not isinstance(k, int):
             return NotImplemented
-        return KummerNumber.build(self.torsion * k, {p: e * k for p, e in self.primes})
+        if k == 0:
+            return _ONE
+        return _canonical(self.torsion * k % 1, tuple((p, e * k) for p, e in self.primes))
 
     def nth_root(self, n: int) -> KummerNumber:
         """The principal n-th root: every exponent divided by n.
@@ -168,39 +190,88 @@ class KummerNumber:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Canonical text: ``zeta(m)^k``, then the integer prime powers folded
+        into ``n`` or ``n/d``, then ``p^(a/b)`` for each fractional exponent.
+
+        When n or d would pass _FOLD_LIMIT, every prime power prints on its
+        own instead (``p^k``, ``p^-k``, ``p^(a/b)``), in prime order.
+        """
         parts: list[str] = []
         if self.torsion != 0:
             m, k = self.torsion.denominator, self.torsion.numerator
             parts.append(f"zeta({m})" if k == 1 else f"zeta({m})^{k}")
-        num, den = 1, 1
-        frac_parts: list[str] = []
-        for p, e in self.primes:
-            if e.denominator == 1:
-                if e > 0:
-                    num *= p ** e.numerator
-                else:
-                    den *= p ** (-e.numerator)
-            else:
-                frac_parts.append(f"{p}^({e})")
-        if num != 1 or den != 1:
-            parts.append(str(num) if den == 1 else f"{num}/{den}")
-        parts.extend(frac_parts)
+        ints = [(p, e.numerator) for p, e in self.primes if e.denominator == 1]
+        num = _fold((p, k) for p, k in ints if k > 0)
+        den = _fold((p, -k) for p, k in ints if k < 0)
+        if num is None or den is None:
+            parts.extend(f"{p}^{e}" if e.denominator == 1 else f"{p}^({e})" for p, e in self.primes)
+        else:
+            if num != 1 or den != 1:
+                parts.append(str(num) if den == 1 else f"{num}/{den}")
+            parts.extend(f"{p}^({e})" for p, e in self.primes if e.denominator != 1)
         return " * ".join(parts) if parts else "1"
 
     def __repr__(self) -> str:
         return f"KummerNumber({str(self)!r})"
 
 
+# Folded integers stay below 10^4300, CPython's default limit on int -> str.
+_FOLD_LIMIT = 10**4300
+
+
+def _fold(powers: Iterable[tuple[int, int]]) -> int | None:
+    """The product of the powers p^k (k >= 1), or None once it reaches _FOLD_LIMIT."""
+    acc = 1
+    for p, k in powers:
+        # p^k >= 2^(k * (bits(p) - 1)): rules out a huge power before computing it
+        if k * (p.bit_length() - 1) >= _FOLD_LIMIT.bit_length():
+            return None
+        acc *= p**k
+        if acc >= _FOLD_LIMIT:
+            return None
+    return acc
+
+
+def _canonical(torsion: Fraction, primes: tuple[tuple[int, Fraction], ...]) -> KummerNumber:
+    """A value from parts already in canonical form, without the constructor's checks."""
+    x = object.__new__(KummerNumber)
+    x.__dict__.update(torsion=torsion, primes=primes)
+    return x
+
+
+_ZERO = Fraction(0)
+_ONE = KummerNumber(_ZERO, ())
+
+
 def char_eval(point: Iterable[KummerNumber], exponents: Iterable[int]) -> KummerNumber:
-    """Evaluate the monomial character x -> prod_i x_i^(b_i) at a point."""
+    """Evaluate the monomial character x -> prod_i x_i^(b_i) at a point.
+
+    The torsion and every prime exponent are summed over all coordinates
+    first and reduced once.
+    """
     xs, bs = tuple(point), tuple(exponents)
     if len(xs) != len(bs):
         raise ValueError(f"dimension mismatch: point {len(xs)}, character {len(bs)}")
-    acc = KummerNumber.one()
+    # running sums as (numerator, denominator) integer pairs
+    tn, td = 0, 1
+    sums: dict[int, tuple[int, int]] = {}
     for x, b in zip(xs, bs):
-        if b != 0:
-            acc = acc * x**b
-    return acc
+        if b:
+            t = x.torsion
+            if t:
+                n, d = t.numerator * b, t.denominator
+                tn, td = (tn + n, td) if d == td else (tn * d + n * td, td * d)
+            for p, e in x.primes:
+                n, d = e.numerator * b, e.denominator
+                s = sums.get(p)
+                if s is None:
+                    sums[p] = (n, d)
+                elif s[1] == d:
+                    sums[p] = (s[0] + n, d)
+                else:
+                    sums[p] = (s[0] * d + n * s[1], s[1] * d)
+    primes = tuple(sorted((p, Fraction(n, d)) for p, (n, d) in sums.items() if n))
+    return _canonical(Fraction(tn % td, td) if tn % td else _ZERO, primes)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -224,7 +295,10 @@ def _parse_factor(tok: str) -> KummerNumber:
         if m.group(4) is not None:
             exp = Fraction(int(m.group(4)))
         else:
-            exp = Fraction(int(m.group(2)), int(m.group(3) or 1))
+            den = int(m.group(3) or 1)
+            if den == 0:
+                raise ParseError(f"zero exponent denominator in {tok!r}")
+            exp = Fraction(int(m.group(2)), den)
         if base < 2:
             raise ParseError(f"power base must be >= 2 in {tok!r}")
         # non-prime bases distribute over their prime factorization

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from torusdyn.cli import load_map_spec, main
+from torusdyn.kummer import parse_point
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,6 +79,16 @@ def test_orbit_command(tmp_path, capsys):
     assert doc["orbit"] == [["1", "1"], ["2", "3"], ["4", "9"]]
 
 
+def test_orbit_prints_coordinates_past_the_digit_limit(capsys):
+    path = str(FIXDIR / "example_dense.json")
+    rc = main(["orbit", path, "--point", "2,3", "-n", "11", "--json"])
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out)["orbit"]
+    phi = load_map_spec(path).to_map()
+    assert [parse_point(p) for p in printed] == phi.orbit(parse_point(["2", "3"]), 11)
+    assert printed[-1][0] == "2^10946 * 3^6765"
+
+
 def test_check_density_and_strict(tmp_path, capsys):
     rc = main(["check-density", _write_spec(tmp_path, WILD), "--point", "1,1", "--budget", "25"])
     assert rc == 0 and "NOT_CONTAINED" in capsys.readouterr().out
@@ -90,11 +103,19 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     assert main(["classify", _write_spec(tmp_path, {"matrix": [[1, 1], [1, 1]], "gamma": ["1", "1"]})]) == 2
     assert main(["classify", _write_spec(tmp_path, {"matrix": [[1]], "gamma": ["bogus!"]})]) == 2
+    assert main(["classify", _write_spec(tmp_path, {"matrix": [[1]], "gamma": ["2^(1/0)"]})]) == 2
     assert main(["classify", _write_spec(tmp_path, {"matrix": [[1]], "gamma": ["1"], "options": {"seed": -1}})]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["classify", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--iterate-cap", "--degree-bound", "--torsion-cap", "--retries"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cap_flags_must_be_positive(tmp_path, capsys, flag, value):
+    assert main(["classify", _write_spec(tmp_path, WILD), flag, value]) == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err
 
 
 def test_map_spec_round_trip(tmp_path):

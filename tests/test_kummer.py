@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusdyn.errors import ParseError
 from torusdyn.kummer import KummerNumber, char_eval, parse_kummer, parse_point
@@ -105,7 +106,7 @@ def test_parser_syntax():
     assert parse_point(["2", "zeta(4)"]) == (K(2), zeta(4))
 
 
-@pytest.mark.parametrize("bad", ["", "zeta(0)", "0", "2^^3", "x", "2/0", "3 * * 5"])
+@pytest.mark.parametrize("bad", ["", "zeta(0)", "0", "2^^3", "x", "2/0", "3 * * 5", "2^(1/0)"])
 def test_parser_rejects(bad):
     with pytest.raises(ParseError):
         parse_kummer(bad)
@@ -116,3 +117,87 @@ def test_from_rational_and_sign():
     assert K(Fraction(12, 18)) == K(Fraction(2, 3))
     with pytest.raises(ValueError):
         K(0)
+
+
+def test_printing_folds_integer_powers_below_the_digit_limit():
+    assert str(zeta(3) * K(Fraction(32, 9)) * KummerNumber.prime_power(5, Fraction(1, 2))) == "zeta(3) * 32/9 * 5^(1/2)"
+    at_limit = KummerNumber.prime_power(3, -9012)  # 4300 digits
+    assert str(at_limit) == f"1/{3**9012}"
+    past = KummerNumber.prime_power(3, -9013) * K(2) * KummerNumber.prime_power(5, Fraction(1, 2))
+    assert str(past) == "2^1 * 3^-9013 * 5^(1/2)"
+    huge = KummerNumber.prime_power(2, 10**12)
+    for x in (at_limit, past, huge):
+        assert parse_kummer(str(x)) == x
+
+
+# -- the closed operations against the canonicalizing constructor ------------
+
+def ref_mul(a, b):
+    return KummerNumber.build(a.torsion + b.torsion, list(a.primes) + list(b.primes))
+
+
+def ref_pow(a, k):
+    return KummerNumber.build(a.torsion * k, {p: e * k for p, e in a.primes})
+
+
+def ref_inverse(a):
+    return KummerNumber.build(-a.torsion, {p: -e for p, e in a.primes})
+
+
+def ref_char_eval(xs, bs):
+    acc = KummerNumber.one()
+    for x, b in zip(xs, bs):
+        acc = ref_mul(acc, ref_pow(x, b))
+    return acc
+
+
+def assert_same_canonical(r, ref):
+    assert KummerNumber(r.torsion, r.primes) == r  # the validating constructor accepts it
+    assert type(r.torsion) is Fraction
+    assert all(type(p) is int and type(e) is Fraction for p, e in r.primes)
+    assert r == ref and hash(r) == hash(ref)
+
+
+_torsions = st.integers(1, 12).flatmap(lambda m: st.integers(0, m - 1).map(lambda k: Fraction(k, m)))
+# few primes and small exponents, so sums cancel to 0 often
+_exponents = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 6)))
+_kummers = st.builds(KummerNumber.build, _torsions, st.dictionaries(st.sampled_from((2, 3, 5)), _exponents, max_size=3))
+_points_and_characters = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(_kummers, min_size=n, max_size=n), st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    )
+)
+_property = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+_CANCEL_AND_WRAP = (zeta(3, 2) * KummerNumber.prime_power(2, Fraction(1, 2)), zeta(3, 2) * KummerNumber.prime_power(2, Fraction(-1, 2)))
+
+
+@_property
+@given(_kummers, _kummers)
+@example(*_CANCEL_AND_WRAP)
+def test_mul_matches_build(a, b):
+    assert_same_canonical(a * b, ref_mul(a, b))
+
+
+@_property
+@given(_kummers, st.integers(-5, 5))
+@example(zeta(4, 3) * K(2), 3)
+@example(zeta(4, 3) * K(2), 0)
+def test_pow_matches_build(a, k):
+    assert_same_canonical(a**k, ref_pow(a, k))
+
+
+@_property
+@given(_kummers)
+@example(KummerNumber.one())
+def test_inverse_matches_build(a):
+    assert_same_canonical(a.inverse(), ref_inverse(a))
+
+
+@_property
+@given(_points_and_characters)
+@example((list(_CANCEL_AND_WRAP), [1, 1]))
+@example(([KummerNumber.prime_power(2, Fraction(1, 2)), KummerNumber.prime_power(2, Fraction(1, 4))], [1, -2]))
+def test_char_eval_matches_iterated_products(point_and_character):
+    xs, bs = point_and_character
+    assert_same_canonical(char_eval(xs, bs), ref_char_eval(xs, bs))
