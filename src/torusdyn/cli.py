@@ -104,18 +104,33 @@ def load_map_spec(path: str) -> MapSpec:
     return spec
 
 
+# The spectral-radius bracketing slows fast as the tolerance shrinks (minutes at n = 6 and 1/10^6).
+_TOLERANCE_FLOOR = Fraction(1, 10**4)
+_CAP_FLAGS = ("iterate_cap", "degree_bound", "torsion_cap", "retries")
+
+
+def _check_flags(args) -> None:
+    """Every subcommand takes the cap flags; reject non-positive values on all of them."""
+    for key in _CAP_FLAGS:
+        flag = getattr(args, key)
+        if flag is not None and flag <= 0:
+            raise ParseError(f"--{key.replace('_', '-')} must be positive")
+    if args.command == "periodic" and args.budget <= 0:
+        raise ParseError("--budget must be positive")
+
+
 def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
     merged = dict(spec.options)
-    for key in ("iterate_cap", "degree_bound", "torsion_cap", "seed", "retries"):
+    for key in (*_CAP_FLAGS, "seed"):
         flag = getattr(args, key, None)
-        if flag is None:
-            continue
-        if key != "seed" and flag <= 0:
-            raise ParseError(f"--{key.replace('_', '-')} must be positive")
-        merged[key] = flag
-    tol = Fraction(merged["tolerance"]) if "tolerance" in merged else Fraction(1, 1000)
-    if tol <= 0:
-        raise ParseError("tolerance must be positive")
+        if flag is not None:
+            merged[key] = flag
+    try:
+        tol = Fraction(merged.get("tolerance", "1/1000"))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"tolerance {merged['tolerance']!r} is not a fraction") from exc
+    if tol < _TOLERANCE_FLOOR:
+        raise ParseError(f"tolerance must be at least {_TOLERANCE_FLOOR}")
     return dynamics.ClassifyConfig(
         iterate_cap=merged.get("iterate_cap", 360),
         degree_bound=merged.get("degree_bound", 3),
@@ -443,6 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -39,18 +39,60 @@ from .errors import ParseError
 Point = tuple["KummerNumber", ...]
 
 
+# Trial division runs up to this bound; a larger cofactor must be prime.
+TRIAL_DIVISION_BOUND = 10**6
+# Miller-Rabin with the twelve prime bases up to 37 is exact below this bound.
+MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer.
+
+    Trial division finds every prime factor up to TRIAL_DIVISION_BOUND; what
+    is left must be 1 or a prime that Miller-Rabin decides exactly.  Any
+    other cofactor raises ParseError.
+    """
     if n <= 0:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
+        # past the loop either d * d > n (so n is prime) or n has no factor <= the bound
+        if d * d <= n and (n >= MILLER_RABIN_LIMIT or not is_prime(n)):
+            raise ParseError(
+                f"cannot factor {n}: no prime factor up to {TRIAL_DIVISION_BOUND} and not a prime "
+                f"that Miller-Rabin decides exactly (below {MILLER_RABIN_LIMIT})"
+            )
         out[n] = out.get(n, 0) + 1
     return out
 

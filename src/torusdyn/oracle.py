@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, char_eval
+from .kummer import KummerNumber, Point, char_eval, is_prime
 from .polyalg import IntPoly, cyclotomic_part, divisors
 from .torus import AffineMonomialMap
 
@@ -131,30 +131,6 @@ def numeric_roots(p: IntPoly, tol: float = 1e-9) -> list[complex]:
 # -- modular embeddings ------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _generator_mod(q: int) -> int:
     fac = []
     m = q - 1
@@ -214,11 +190,15 @@ class ModularEmbedding:
     generator: int
     torsion_lcm: int
     prime_logs: tuple[tuple[int, int], ...]
+    _logs: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_logs", dict(self.prime_logs))
 
     def embed(self, x: KummerNumber) -> int:
         q = self.prime
         exp = x.torsion.numerator * ((q - 1) // x.torsion.denominator)
-        logs = dict(self.prime_logs)
+        logs = self._logs
         for p, e in x.primes:
             lg = logs[p]
             num = e.numerator * lg
@@ -368,7 +348,7 @@ def build_embedding(
         scanned += 1
         q = step * t + 1
         t = t + 1 if t + 1 < wrap else t_lo
-        if not _is_prime(q):
+        if not is_prime(q):
             continue
         if any(p % q == 0 or pow(p, (q - 1) // n_p, q) != 1 for p, n_p in needed.items()):
             continue
@@ -405,36 +385,72 @@ class ContainmentResult:
 
 
 def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials in n variables of total degree <= degree, sorted."""
     out = []
-    def rec(prefix, remaining, left):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], remaining - 1, left - e)
-    rec([], n, degree)
+    # a multiset of `degree` indices from 0..n; index n is the slack left below the bound
+    for combo in itertools.combinations_with_replacement(range(n + 1), degree):
+        e = [0] * (n + 1)
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e[:n]))
     return sorted(out)
 
 
+def _monomial_steps(monos: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """For each monomial after the constant one (monos[0]), a pair (parent, j)
+    with monos[k] = monos[parent] * x_j and parent < k.
+
+    Lowering the first nonzero exponent gives a lexicographically smaller
+    tuple, so in sorted order the parent always comes first.
+    """
+    index = {m: k for k, m in enumerate(monos)}
+    steps = []
+    for m in monos[1:]:
+        j = next(i for i, e in enumerate(m) if e)
+        steps.append((index[m[:j] + (m[j] - 1,) + m[j + 1 :]], j))
+    return steps
+
+
 def _rank_mod(rows: list[list[int]], q: int) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] % q), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][j], -1, q)
-        work[rank] = [x * inv % q for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j] % q:
-                f = work[i][j]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+    """Rank modulo the prime q by row echelon reduction, one row at a time.
+
+    Each incoming row is reduced against the pivot rows found so far; the scan
+    stops as soon as the rank equals the column count.  A row's entries are
+    reduced mod q only where they are read: each elimination step adds less
+    than q^2 to an entry, so the unreduced entries stay small.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict[int, list[int]] = {}  # pivot column j -> row[j:] mod q, scaled to 1 at j
+    for row in rows:
+        if len(pivots) == ncols:
             break
-    return rank
+        r = list(row)
+        for j in range(ncols):
+            x = r[j] % q
+            if not x:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(x, -1, q)
+                pivots[j] = [y * inv % q for y in r[j:]]
+                break
+            r[j:] = [a - x * b for a, b in zip(r[j:], piv)]
+    return len(pivots)
+
+
+def _evaluation_rows(
+    points: list[Point], steps: list[tuple[int, int]], emb: ModularEmbedding
+) -> list[list[int]]:
+    """The embedded monomial values at each point, columns in _monomials order."""
+    q = emb.prime
+    rows = []
+    for p in points:
+        xs = [emb.embed(c) for c in p]
+        row = [1]
+        for parent, j in steps:
+            row.append(row[parent] * xs[j] % q)
+        rows.append(row)
+    return rows
 
 
 def hypersurface_containment(
@@ -447,6 +463,13 @@ def hypersurface_containment(
     modular embedding; full column rank modulo the chosen prime refutes any
     vanishing relation in characteristic zero.  Rank deficits trigger a
     retry with a fresh prime and finally UNDECIDED.
+
+    Each coordinate is embedded once and every matrix entry is one modular
+    product of an earlier entry of its row with one coordinate.  The
+    embedding is a homomorphism on the group the coordinates generate
+    (every discrete log is divisible by the exponent denominators it
+    meets), so the entries equal the embedded monomial values.  The rank
+    computation stops at full column rank.
     """
     if not points:
         raise PreconditionError("need at least one point")
@@ -464,7 +487,7 @@ def hypersurface_containment(
     shift = tuple(c.inverse() for c in points[0])
     moved = [tuple(a * s for a, s in zip(p, shift)) for p in points]
     coords = [c for p in moved for c in p]
-    values = [[char_eval(p, m) for m in monos] for p in moved]
+    steps = _monomial_steps(monos)
     rng = random.Random(seed)
     attempts = 0
     while attempts < retries:
@@ -473,8 +496,7 @@ def hypersurface_containment(
         except OracleError:
             break
         attempts += used
-        rows = [[emb.embed(v) for v in row] for row in values]
-        rank = _rank_mod(rows, emb.prime)
+        rank = _rank_mod(_evaluation_rows(moved, steps, emb), emb.prime)
         if rank == len(monos):
             return ContainmentResult(
                 "NOT_CONTAINED", degree_bound, len(points), len(monos), emb.prime, rank, attempts

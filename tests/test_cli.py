@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from torusdyn.cli import load_map_spec, main
 from torusdyn.kummer import parse_point
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXDIR = ROOT / "fixtures"
 
 
 def _write_spec(tmp_path, doc, name="map.json"):
@@ -111,11 +116,57 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# every subcommand with the arguments it requires
+SUBCOMMANDS = [
+    ["classify"],
+    ["fibration"],
+    ["wild"],
+    ["decompose"],
+    ["periodic", "-d", "7"],
+    ["orbit", "--point", "1,1"],
+    ["check-density", "--point", "1,1"],
+]
+
+
 @pytest.mark.parametrize("flag", ["--iterate-cap", "--degree-bound", "--torsion-cap", "--retries"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_cap_flags_must_be_positive(tmp_path, capsys, flag, value):
-    assert main(["classify", _write_spec(tmp_path, WILD), flag, value]) == 2
-    assert f"{flag} must be positive" in capsys.readouterr().err
+    spec = _write_spec(tmp_path, WILD)
+    for cmd, *extra in SUBCOMMANDS:
+        assert main([cmd, spec, *extra, flag, value]) == 2, cmd
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
+
+def test_every_subcommand_takes_seed(tmp_path, capsys):
+    wild, dense = _write_spec(tmp_path, WILD), _write_spec(tmp_path, DENSE, "dense.json")
+    for cmd, *extra in SUBCOMMANDS:
+        spec = dense if cmd == "decompose" else wild  # decompose needs degree > 1
+        assert main([cmd, spec, *extra, "--seed", "7"]) == 0, cmd
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_periodic_budget_must_be_positive(tmp_path, capsys, value):
+    assert main(["periodic", _write_spec(tmp_path, DENSE), "-d", "7", "--budget", value]) == 2
+    assert "--budget must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["1/1000000000", "1/100001", "0", "-1/10", "1/0", "abc"])
+def test_bad_tolerance_exits_2_at_once(tmp_path, capsys, tolerance):
+    spec = {"matrix": [[2, 1], [1, 1]], "gamma": ["1", "1"], "options": {"tolerance": tolerance}}
+    start = time.perf_counter()
+    assert main(["classify", _write_spec(tmp_path, spec)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_large_prime_coordinate_ends_in_bounded_time(tmp_path):
+    spec = _write_spec(tmp_path, {"matrix": [[2, 1], [1, 1]], "gamma": ["1000000000000000003", "1"]})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusdyn.cli", "classify", spec], env=env, capture_output=True, timeout=10
+    )
+    assert proc.returncode in (0, 2), proc.stderr
 
 
 def test_map_spec_round_trip(tmp_path):

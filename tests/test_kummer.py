@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusdyn.errors import ParseError
-from torusdyn.kummer import KummerNumber, char_eval, parse_kummer, parse_point
+from torusdyn.kummer import KummerNumber, char_eval, factorize, is_prime, parse_kummer, parse_point
 
 from conftest import rand_kummer
 
@@ -110,6 +110,34 @@ def test_parser_syntax():
 def test_parser_rejects(bad):
     with pytest.raises(ParseError):
         parse_kummer(bad)
+
+
+def test_is_prime_matches_trial_division():
+    small = [n for n in range(2, 5000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(-3, 5000) if is_prime(n)] == small
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(1_000_003 * 1_000_033)
+
+
+def test_factorize_large_prime_factors():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(7 * (10**18 + 3)) == {7: 1, 10**18 + 3: 1}
+    assert factorize(999_983**2) == {999_983: 2}  # square of a prime below the trial bound
+    assert parse_kummer("1000000000000000003^(1/2)") == KummerNumber.prime_power(10**18 + 3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1_000_003 * 1_000_033, 1_000_003**2, 2**89 - 1],  # 2^89 - 1 is a prime past MILLER_RABIN_LIMIT
+    ids=["two-large-primes", "large-prime-square", "prime-past-miller-rabin"],
+)
+def test_factorize_rejects_cofactors_past_the_cap(n):
+    with pytest.raises(ParseError, match="no prime factor up to 1000000"):
+        factorize(n)
+    with pytest.raises(ParseError):
+        parse_kummer(str(n))
 
 
 def test_from_rational_and_sign():

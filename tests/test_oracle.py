@@ -1,13 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from torusdyn.dynamics import periodic_torsion_points
+from torusdyn.cli import load_map_spec
+from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_family_points
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
-from torusdyn.kummer import one_point, parse_point
+from torusdyn.kummer import char_eval, one_point, parse_point
 from torusdyn.oracle import (
+    _evaluation_rows,
+    _monomial_steps,
+    _monomials,
+    _rank_mod,
     build_embedding,
     finite_model_run,
     hypersurface_containment,
@@ -19,6 +27,8 @@ from torusdyn.polyalg import IntPoly, cyclotomic, quasi_unipotence, spectral_rad
 from torusdyn.torus import AffineMonomialMap
 
 from conftest import rand_kummer
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_finite_model_doubling_mod7():
@@ -146,6 +156,112 @@ def test_containment_preconditions():
         hypersurface_containment([], 3)
     with pytest.raises(PreconditionError):
         hypersurface_containment([one_point(2)], 0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("degree", range(4))
+def test_monomials_match_brute_force(n, degree):
+    ref = sorted(m for m in itertools.product(range(degree + 1), repeat=n) if sum(m) <= degree)
+    monos = _monomials(n, degree)
+    assert monos == ref
+    for k, (parent, j) in enumerate(_monomial_steps(monos), 1):
+        assert parent < k
+        assert monos[k] == tuple(e + (i == j) for i, e in enumerate(monos[parent]))
+
+
+def gauss_jordan_rank(rows, q):
+    """Reference rank mod q: a Gauss-Jordan pass over every row for each column."""
+    work = [list(r) for r in rows]
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][j] % q), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][j], -1, q)
+        work[rank] = [x * inv % q for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][j] % q:
+                f = work[i][j]
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """(rows, q): a product of a rows x k and a k x cols matrix, so rank <= k,
+    with some rows zeroed and entries outside [0, q)."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 13, 101)))
+    nrows, ncols, k = draw(st.integers(0, 12)), draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    entries = st.integers(-2 * q, 2 * q)
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    zeroed = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    rows = [
+        [0] * ncols if i in zeroed else [sum(a * r[j] for a, r in zip(row, right)) for j in range(ncols)]
+        for i, row in enumerate(left)
+    ]
+    return rows, q
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_matrices_mod_p())
+@example(([], 5))
+@example(([[0, 0, 0]] * 4, 7))
+@example(([[1, 2], [2, 4], [3, 6], [0, 0], [5, 5]], 5))
+def test_rank_mod_matches_gauss_jordan(rows_and_q):
+    rows, q = rows_and_q
+    assert _rank_mod(rows, q) == gauss_jordan_rank(rows, q)
+
+
+def _containment_inputs():
+    """(name, points, degree bound, seed): each fixture's orbit, and the family
+    samples of the two dense fixtures."""
+    out = []
+    for path in sorted(FIXDIR.glob("*.json")):
+        phi = load_map_spec(str(path)).to_map()
+        x = parse_point(["2", "3", "5"][: phi.dim])
+        out.append((f"{path.stem}/orbit", orbit_sample(phi, x, 25), 3, 0))
+    for name, budget, seed in (("example_dense", 10, 11), ("example_dense3", 8, 13)):
+        phi = load_map_spec(str(FIXDIR / f"{name}.json")).to_map()
+        out.append((f"{name}/family", sample_family_points(invariant_family(phi, budget), seed), 3, seed))
+    return out
+
+
+# (status, prime, rank, attempts) as computed before the rows came from
+# per-coordinate embeddings and the rank from row-by-row elimination
+_PINNED_CONTAINMENT = {
+    "example_dense/orbit": ("NOT_CONTAINED", 1061227, 10, 1),
+    "example_dense3/orbit": ("NOT_CONTAINED", 1086469, 20, 1),
+    "example_fibration/orbit": ("UNDECIDED", None, None, 32),
+    "example_shear_wild/orbit": ("NOT_CONTAINED", 1061227, 10, 1),
+    "example_torsion_fibration/orbit": ("NOT_CONTAINED", 1111711, 10, 1),
+    "example_wild/orbit": ("NOT_CONTAINED", 1061227, 10, 1),
+    "example_dense/family": ("NOT_CONTAINED", 1937941, 10, 1),
+    "example_dense3/family": ("NOT_CONTAINED", 4613701, 20, 1),
+}
+
+
+def test_evaluation_rows_match_embedded_characters():
+    for name, points, degree, seed in _containment_inputs():
+        shift = tuple(c.inverse() for c in points[0])
+        moved = [tuple(a * s for a, s in zip(p, shift)) for p in points]
+        monos = _monomials(len(points[0]), degree)
+        emb, _ = build_embedding([c for p in moved for c in p], random.Random(seed))
+        ref = [[emb.embed(char_eval(p, m)) for m in monos] for p in moved]
+        assert _evaluation_rows(moved, _monomial_steps(monos), emb) == ref, name
+
+
+def test_containment_pinned_certificates():
+    got = {}
+    for name, points, degree, seed in _containment_inputs():
+        res = hypersurface_containment(points, degree, seed=seed)
+        got[name] = (res.status, res.prime, res.rank, res.attempts)
+    assert got == _PINNED_CONTAINMENT
 
 
 def test_orbit_sample_examples():
