@@ -107,6 +107,12 @@ def load_map_spec(path: str) -> MapSpec:
 # The spectral-radius bracketing slows fast as the tolerance shrinks (minutes at n = 6 and 1/10^6).
 _TOLERANCE_FLOOR = Fraction(1, 10**4)
 _CAP_FLAGS = ("iterate_cap", "degree_bound", "torsion_cap", "retries")
+# The longest orbit `orbit -n` and `check-density --budget` compute.  Exponents
+# gain digits at every step, so the output grows quadratically with the length,
+# and some 10^4 steps of [[2,1],[1,1]] put an exponent past CPython's
+# 4300-digit int -> str limit.
+ORBIT_LENGTH_CAP = 1000
+_LENGTH_FLAGS = {"orbit": "length", "check-density": "budget"}
 
 
 def _check_flags(args) -> None:
@@ -117,6 +123,9 @@ def _check_flags(args) -> None:
             raise ParseError(f"--{key.replace('_', '-')} must be positive")
     if args.command == "periodic" and args.budget <= 0:
         raise ParseError("--budget must be positive")
+    length = _LENGTH_FLAGS.get(args.command)
+    if length and getattr(args, length) > ORBIT_LENGTH_CAP:
+        raise ParseError(f"--{length} must be at most ORBIT_LENGTH_CAP = {ORBIT_LENGTH_CAP}")
 
 
 def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:

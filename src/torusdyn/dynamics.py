@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import PreconditionError
 from .intlinalg import (
@@ -36,7 +37,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, char_eval, one_point
+from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, layer_orders, layers_of, one_point
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
 from .torus import (
     AffineMonomialMap,
@@ -442,24 +443,50 @@ class CosetFamily:
     cycle: tuple[Coset, ...]
 
 
-def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> list[list[tuple[int, ...]]]:
-    """Orbits of u -> a2*u on (Z/d)^k restricted to elements of exact order d."""
+def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[int, ...]]]:
+    """Orbits of u -> a2*u on (Z/d)^k restricted to elements of exact order d.
+
+    Lazy, so a caller that stops early never enumerates the rest of (Z/d)^k.
+    """
     k = a2.rows
     if d == 1:
-        return [[(0,) * k]] if k >= 0 else []
+        yield [(0,) * k]
+        return
+    rows = a2.to_rows()
     seen: set[tuple[int, ...]] = set()
-    orbits = []
     for u in itertools.product(range(d), repeat=k):
         if u in seen or math.gcd(math.gcd(*u), d) != 1:
             continue
         orbit = [u]
-        v = tuple(x % d for x in mat_vec(a2, u))
+        v = tuple(sum(a * x for a, x in zip(row, u)) % d for row in rows)
         while v != u:
             orbit.append(v)
-            v = tuple(x % d for x in mat_vec(a2, v))
+            v = tuple(sum(a * x for a, x in zip(row, v)) % d for row in rows)
         seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
+        yield orbit
+
+
+def _affine_step(rows: list[list[int]], den: int, x: PointLayers, g: PointLayers) -> PointLayers:
+    """gamma * x^A on exponent layers: one integer mat-vec per layer, torsion mod den."""
+    tors = [(sum(a * v for a, v in zip(row, x[0])) + c) % den for row, c in zip(rows, g[0])]
+    return [tors] + [
+        [sum(a * v for a, v in zip(row, e)) + c for row, c in zip(rows, ge)] for e, ge in zip(x[1:], g[1:])
+    ]
+
+
+def _project(rows: list[list[int]] | None, den: int, x: PointLayers) -> PointLayers:
+    """The character values of x under the given rows (None: x itself), layer by layer."""
+    if rows is None:
+        return x
+    return [[sum(a * v for a, v in zip(row, x[0])) % den for row in rows]] + [
+        [sum(a * v for a, v in zip(row, e)) for row in rows] for e in x[1:]
+    ]
+
+
+def _lowest_terms(den: int, x: PointLayers) -> tuple:
+    """Layers over the smallest denominator that carries them, as a hashable value."""
+    g = math.gcd(den, *(v for layer in x for v in layer))
+    return (den // g, tuple(tuple(v // g for v in layer) for layer in x))
 
 
 def invariant_family(
@@ -468,11 +495,14 @@ def invariant_family(
     """Generate invariant coset families for a degree->1 map.
 
     Each torsion-point orbit of the hyperbolic factor transports to a cycle
-    of translates of the unipotent subtorus x1; the cycle is built by exact
-    coset images under phi until it closes, which certifies invariance of
-    the union.  phi carries x1 onto itself (checked once here), so a coset
-    image is x1 translated by the image of the base.  Families are emitted
-    by increasing torsion order until the budget is met.
+    of translates of the unipotent subtorus x1.  phi carries x1 onto itself
+    (checked once here), so the image of a coset is x1 translated by the
+    image of its base, and the cycle is the orbit of the base on the exponent
+    layers.  It closes when the base's projection to T/x1 (its character
+    values under x1's annihilator basis) returns, which certifies invariance
+    of the union; the same projections in lowest terms identify the cycle
+    for deduplication.  Families are emitted by increasing torsion order
+    until the budget is met.
     """
     if budget <= 0:
         return []
@@ -481,6 +511,9 @@ def invariant_family(
         raise AssertionError("the unipotent subtorus is not invariant under the map")
     det2 = abs(dec.a2.det())
     beta_inv = tuple(c.inverse() for c in dec.beta2_embedded)
+    rows = phi.matrix.to_rows()
+    # a trivial x1 has the identity as annihilator basis: T/x1 is T itself
+    proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
     families: list[CosetFamily] = []
     seen: set = set()
     for d in range(1, torsion_cap + 1):
@@ -491,22 +524,26 @@ def invariant_family(
         for orbit in _torsion_orbits_exact_order(dec.a2, d):
             t0 = tuple(KummerNumber.build(Fraction(x, d), {}) for x in orbit[0])
             base0 = tuple(u * v for u, v in zip(dec.x2.embed(t0), beta_inv))
-            start = Coset(base0, dec.x1)
-            cycle = [start]
-            cur = start
+            den, primes, (cur, gamma) = layers_of((base0, phi.translation))
+            start = _project(proj, den, cur)
+            bases, projections = [cur], [start]
             max_cycle = dec.normalize_iterate * len(orbit) + 1
             while True:
-                cur = Coset(phi.apply(cur.base), dec.x1)
-                if cur.same_set(start):
+                cur = _affine_step(rows, den, cur, gamma)
+                image = _project(proj, den, cur)
+                if image == start:
                     break
-                cycle.append(cur)
-                if len(cycle) > max_cycle:
+                bases.append(cur)
+                projections.append(image)
+                if len(bases) > max_cycle:
                     raise AssertionError("coset cycle failed to close")
-            key = frozenset(c.canonical_key() for c in cycle)
+            # every orbit of this map has the same primes, so the keys compare
+            key = frozenset(_lowest_terms(den, x) for x in projections)
             if key in seen:
                 continue
             seen.add(key)
-            families.append(CosetFamily(d, tuple(orbit), tuple(cycle)))
+            cycle = tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases)
+            families.append(CosetFamily(d, tuple(orbit), cycle))
             if len(families) >= budget:
                 break
     return families
@@ -534,22 +571,25 @@ def sample_family_points(
     seen: set[Point] = set()
     pool_lcm = 1
     denoms: dict[int, int] = {}
-    anchor_inv: Point | None = None
+    anchor: Point | None = None
 
     def push(p: Point) -> bool:
         # cost accounting mirrors the density test, which divides the pool by
         # its first point before embedding
-        nonlocal pool_lcm, anchor_inv
-        if anchor_inv is None:
-            anchor_inv = tuple(c.inverse() for c in p)
-        rel = tuple(a * s for a, s in zip(p, anchor_inv))
-        new_lcm = math.lcm(pool_lcm, *(c.torsion.denominator for c in rel))
+        nonlocal pool_lcm, anchor
+        if p in seen:
+            return False
+        if anchor is None:
+            anchor = p
+        den, primes, (lp, la) = layers_of((p, anchor))
+        rel = [[x - y for x, y in zip(u, v)] for u, v in zip(lp, la)]
+        torsion_lcm, needed = layer_orders(den, primes, [rel])
+        new_lcm = math.lcm(pool_lcm, torsion_lcm)
         new_denoms = dict(denoms)
-        for c in rel:
-            for q, e in c.primes:
-                new_denoms[q] = math.lcm(new_denoms.get(q, 1), e.denominator)
-        cost = math.prod(new_denoms.values()) if new_denoms else 1
-        if (new_lcm <= torsion_lcm_cap and cost <= radical_cost_cap) and p not in seen:
+        for q, n_q in needed.items():
+            new_denoms[q] = math.lcm(new_denoms.get(q, 1), n_q)
+        cost = math.prod(new_denoms.values())
+        if new_lcm <= torsion_lcm_cap and cost <= radical_cost_cap:
             seen.add(p)
             pts.append(p)
             pool_lcm = new_lcm
@@ -561,6 +601,8 @@ def sample_family_points(
             if push(c.base):
                 return pts
             k = c.torus.dim
+            if k == 0:
+                continue  # a point coset: every sample is the base, and no seed is drawn
             for _ in range(per_coset - 1):
                 seeds = tuple(
                     KummerNumber.from_rational(rng.choice([2, 3, 5, 7])) ** rng.randint(1, 3)
@@ -701,45 +743,22 @@ def recursive_classification(
     norm = phi.iterate(l0) if l0 > 1 else phi
     witness = find_invariant_fibration(norm, config.iterate_cap)
 
+    verdict = q = child = None
     if witness is None:
-        report = classify(phi, config)
-        return RecursionNode(
-            dim=phi.dim,
-            map=phi,
-            normalize_iterate=l0,
-            alternative=alternative,
-            witness=None,
-            restriction_iterate=None,
-            verdict=report.verdict,
-            depth_exhausted=False,
-            child=None,
-        )
-
-    assert witness.iterate == 1, "normalization leaves only iterate-1 witnesses"
-    bprim = _primitive(witness.character)
-    kernel_torus = Subtorus(phi.dim, Lattice.from_rows(phi.dim, [bprim]))
-    zeta = char_eval(norm.translation, bprim)
-    assert zeta.is_torsion()
-    q = zeta.torsion_order()
-    norm_q = norm.iterate(q) if q > 1 else norm
-    a_e = restrict_endomorphism(norm_q.matrix, kernel_torus)
-    assert a_e is not None
-    g_e = kernel_torus.coordinates_of(norm_q.translation)
-    restricted = AffineMonomialMap(a_e, g_e)
-
-    if depth_cap == 1:
-        return RecursionNode(
-            dim=phi.dim,
-            map=phi,
-            normalize_iterate=l0,
-            alternative=alternative,
-            witness=witness,
-            restriction_iterate=q,
-            verdict=None,
-            depth_exhausted=True,
-            child=None,
-        )
-    child = recursive_classification(restricted, depth_cap - 1, config)
+        verdict = classify(phi, config).verdict
+    else:
+        assert witness.iterate == 1, "normalization leaves only iterate-1 witnesses"
+        bprim = _primitive(witness.character)
+        kernel_torus = Subtorus(phi.dim, Lattice.from_rows(phi.dim, [bprim]))
+        zeta = char_eval(norm.translation, bprim)
+        assert zeta.is_torsion()
+        q = zeta.torsion_order()
+        norm_q = norm.iterate(q) if q > 1 else norm
+        a_e = restrict_endomorphism(norm_q.matrix, kernel_torus)
+        assert a_e is not None
+        g_e = kernel_torus.coordinates_of(norm_q.translation)
+        if depth_cap > 1:
+            child = recursive_classification(AffineMonomialMap(a_e, g_e), depth_cap - 1, config)
     return RecursionNode(
         dim=phi.dim,
         map=phi,
@@ -747,7 +766,7 @@ def recursive_classification(
         alternative=alternative,
         witness=witness,
         restriction_iterate=q,
-        verdict=None,
-        depth_exhausted=False,
+        verdict=verdict,
+        depth_exhausted=witness is not None and child is None,
         child=child,
     )

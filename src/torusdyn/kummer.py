@@ -29,10 +29,11 @@ True
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -314,6 +315,71 @@ def char_eval(point: Iterable[KummerNumber], exponents: Iterable[int]) -> Kummer
                     sums[p] = (s[0] * d + n * s[1], s[1] * d)
     primes = tuple(sorted((p, Fraction(n, d)) for p, (n, d) in sums.items() if n))
     return _canonical(Fraction(tn % td, td) if tn % td else _ZERO, primes)
+
+
+# -- exponent layers ----------------------------------------------------------
+
+# One point's layers: its torsion vector, then one exponent vector per prime,
+# all integers over a common denominator.
+PointLayers = list[list[int]]
+
+
+def layers_of(points: Sequence[Point]) -> tuple[int, tuple[int, ...], list[PointLayers]]:
+    """The points as integer exponent vectors over one common denominator.
+
+    Returns ``(den, primes, layers)`` with ``den`` the lcm of every torsion
+    and exponent denominator and ``primes`` the sorted union of the prime
+    supports.  ``layers[i][0]`` is the torsion vector of ``points[i]`` times
+    ``den`` (entries in [0, den)) and ``layers[i][1 + k]`` its exponent
+    vector of ``primes[k]`` times ``den``.  Multiplying points adds layers
+    (the torsion one mod ``den``) and x -> x^A is one integer mat-vec per
+    layer, which never grows ``den``.  :func:`from_layers` goes back.
+    """
+    dens: set[int] = set()
+    support: set[int] = set()
+    for pt in points:
+        for x in pt:
+            dens.add(x.torsion.denominator)
+            for p, e in x.primes:
+                support.add(p)
+                dens.add(e.denominator)
+    den = math.lcm(*dens)
+    primes = tuple(sorted(support))
+    row = {p: k for k, p in enumerate(primes, 1)}
+    out = []
+    for pt in points:
+        vecs = [[0] * len(pt) for _ in range(len(primes) + 1)]
+        tors = vecs[0]
+        for j, x in enumerate(pt):
+            if x.torsion:
+                tors[j] = x.torsion.numerator * (den // x.torsion.denominator)
+            for p, e in x.primes:
+                vecs[row[p]][j] = e.numerator * (den // e.denominator)
+        out.append(vecs)
+    return den, primes, out
+
+
+def from_layers(den: int, primes: Sequence[int], layers: PointLayers) -> Point:
+    """The canonical point with these layers (the torsion layer is read mod den)."""
+    tors, *exps = layers
+    out = []
+    for j, t in enumerate(tors):
+        t %= den
+        ps = tuple((p, Fraction(v[j], den)) for p, v in zip(primes, exps) if v[j])
+        out.append(_canonical(Fraction(t, den) if t else _ZERO, ps))
+    return tuple(out)
+
+
+def layer_orders(den: int, primes: Sequence[int], points: Sequence[PointLayers]) -> tuple[int, dict[int, int]]:
+    """Over every coordinate of the layered points: the lcm of the torsion
+    orders, and for each prime that occurs the lcm of its exponent denominators."""
+    torsion_lcm = den // math.gcd(den, *(x for pt in points for x in pt[0]))
+    needed = {}
+    for k, p in enumerate(primes, 1):
+        entries = [x for pt in points for x in pt[k]]
+        if any(entries):
+            needed[p] = den // math.gcd(den, *entries)
+    return torsion_lcm, needed
 
 
 # -- parsing ----------------------------------------------------------------

@@ -13,8 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import Mapping
 
 from .errors import OracleError, PreconditionError
 from .intlinalg import (
@@ -26,7 +25,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, char_eval, is_prime
+from .kummer import KummerNumber, Point, PointLayers, char_eval, is_prime, layer_orders, layers_of
 from .polyalg import IntPoly, cyclotomic_part, divisors
 from .torus import AffineMonomialMap
 
@@ -112,6 +111,8 @@ def numeric_roots(p: IntPoly, tol: float = 1e-9) -> list[complex]:
     coefficient scale at that root, else an OracleError reports
     non-convergence.
     """
+    import numpy as np  # only this oracle uses numpy; importing the package stays light
+
     if p.degree < 1:
         raise PreconditionError("numeric_roots requires degree >= 1")
     roots = np.roots([float(c) for c in reversed(p.coeffs)])
@@ -286,14 +287,9 @@ def _consistent_branches(needed: dict[int, int], logs: dict[int, int], torsion_l
     return out
 
 
-def _try_embedding(values: list[KummerNumber], q: int) -> ModularEmbedding | None:
-    torsion_lcm = math.lcm(*(v.torsion.denominator for v in values)) if values else 1
+def _try_embedding(torsion_lcm: int, needed: Mapping[int, int], q: int) -> ModularEmbedding | None:
     if (q - 1) % torsion_lcm != 0:
         return None
-    needed: dict[int, int] = {}
-    for v in values:
-        for p, e in v.primes:
-            needed[p] = math.lcm(needed.get(p, 1), e.denominator)
     if any(p % q == 0 for p in needed):
         return None
     g = _generator_mod(q)
@@ -319,24 +315,21 @@ def _try_embedding(values: list[KummerNumber], q: int) -> ModularEmbedding | Non
 
 
 def build_embedding(
-    values: list[KummerNumber], rng: random.Random, retries: int = 32
+    torsion_lcm: int, needed: Mapping[int, int], rng: random.Random, retries: int = 32
 ) -> tuple[ModularEmbedding, int]:
     """Construct an embedding, retrying over random admissible primes.
 
-    Admissibility of q (every base prime an N_p-th power residue) is decided
-    by one modular exponentiation per base prime, so the scan can afford the
-    roughly prod(N_p) candidates it takes to find an admissible one; the
-    expensive generator/discrete-log construction only runs on survivors.
-    Returns (embedding, admissible primes tried).  Raises OracleError when
-    the budget is exhausted.
+    The values to embed are described by the lcm of their torsion orders and,
+    for each base prime p, the lcm N_p of its exponent denominators
+    (:func:`torusdyn.kummer.layer_orders`).  Admissibility of q (every base
+    prime an N_p-th power residue) is decided by one modular exponentiation
+    per base prime, so the scan can afford the roughly prod(N_p) candidates it
+    takes to find an admissible one; the expensive generator/discrete-log
+    construction only runs on survivors.  Returns (embedding, admissible
+    primes tried).  Raises OracleError when the budget is exhausted.
     """
-    torsion_lcm = math.lcm(*(v.torsion.denominator for v in values)) if values else 1
-    needed: dict[int, int] = {}
-    for v in values:
-        for p, e in v.primes:
-            needed[p] = math.lcm(needed.get(p, 1), e.denominator)
-    step = math.lcm(torsion_lcm, *needed.values()) if needed else torsion_lcm
-    expected = math.prod(needed.values()) if needed else 1
+    step = math.lcm(torsion_lcm, *needed.values())
+    expected = math.prod(needed.values())
     t_lo = max(2, (1 << 20) // step)
     span = max(1 << 14, 512 * expected)
     t = rng.randrange(t_lo, t_lo + span)
@@ -353,7 +346,7 @@ def build_embedding(
         if any(p % q == 0 or pow(p, (q - 1) // n_p, q) != 1 for p, n_p in needed.items()):
             continue
         attempts += 1
-        emb = _try_embedding(values, q)
+        emb = _try_embedding(torsion_lcm, needed, q)
         if emb is not None:
             return emb, attempts
     raise OracleError(f"no admissible prime found ({attempts} candidates in {scanned} scanned)")
@@ -439,13 +432,23 @@ def _rank_mod(rows: list[list[int]], q: int) -> int:
 
 
 def _evaluation_rows(
-    points: list[Point], steps: list[tuple[int, int]], emb: ModularEmbedding
+    den: int, primes: tuple[int, ...], points: list[PointLayers], steps: list[tuple[int, int]], emb: ModularEmbedding
 ) -> list[list[int]]:
-    """The embedded monomial values at each point, columns in _monomials order."""
-    q = emb.prime
+    """The embedded monomial values at each layered point, columns in _monomials order.
+
+    A coordinate with torsion t and prime exponents e_p (all over den) embeds
+    as g^((t * (q - 1) + sum_p e_p * log_p) / den).
+    """
+    q, g = emb.prime, emb.generator
+    logs = dict(emb.prime_logs)
+    weights = [q - 1] + [logs.get(p, 0) for p in primes]  # a prime missing from logs has zero exponents
     rows = []
-    for p in points:
-        xs = [emb.embed(c) for c in p]
+    for layers in points:
+        xs = []
+        for column in zip(*layers):
+            num = sum(w * v for w, v in zip(weights, column))
+            assert num % den == 0
+            xs.append(pow(g, num // den % (q - 1), q))
         row = [1]
         for parent, j in steps:
             row.append(row[parent] * xs[j] % q)
@@ -464,7 +467,8 @@ def hypersurface_containment(
     vanishing relation in characteristic zero.  Rank deficits trigger a
     retry with a fresh prime and finally UNDECIDED.
 
-    Each coordinate is embedded once and every matrix entry is one modular
+    The points are split into exponent layers once; each coordinate is
+    embedded straight from its layers and every matrix entry is one modular
     product of an earlier entry of its row with one coordinate.  The
     embedding is a homomorphism on the group the coordinates generate
     (every discrete log is divisible by the exponent denominators it
@@ -484,19 +488,20 @@ def hypersurface_containment(
     # translating the whole configuration by a fixed torus element maps the
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals
-    shift = tuple(c.inverse() for c in points[0])
-    moved = [tuple(a * s for a, s in zip(p, shift)) for p in points]
-    coords = [c for p in moved for c in p]
+    den, primes, layers = layers_of(points)
+    first = layers[0]
+    moved = [[[x - y for x, y in zip(u, v)] for u, v in zip(pt, first)] for pt in layers]
+    torsion_lcm, needed = layer_orders(den, primes, moved)
     steps = _monomial_steps(monos)
     rng = random.Random(seed)
     attempts = 0
     while attempts < retries:
         try:
-            emb, used = build_embedding(coords, rng, retries - attempts)
+            emb, used = build_embedding(torsion_lcm, needed, rng, retries - attempts)
         except OracleError:
             break
         attempts += used
-        rank = _rank_mod(_evaluation_rows(moved, steps, emb), emb.prime)
+        rank = _rank_mod(_evaluation_rows(den, primes, moved, steps, emb), emb.prime)
         if rank == len(monos):
             return ContainmentResult(
                 "NOT_CONTAINED", degree_bound, len(points), len(monos), emb.prime, rank, attempts

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from torusdyn.cli import load_map_spec, main
+from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main
 from torusdyn.kummer import parse_point
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +94,20 @@ def test_orbit_prints_coordinates_past_the_digit_limit(capsys):
     assert printed[-1][0] == "2^10946 * 3^6765"
 
 
+@pytest.mark.parametrize("cmd, flag", [("orbit", "-n"), ("check-density", "--budget")])
+def test_orbit_length_cap(tmp_path, capsys, cmd, flag):
+    spec = _write_spec(tmp_path, WILD)
+    assert main([cmd, spec, "--point", "2,3", flag, str(ORBIT_LENGTH_CAP), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if cmd == "orbit":
+        assert len(doc["orbit"]) == ORBIT_LENGTH_CAP
+    else:
+        assert doc["result"]["status"] == "NOT_CONTAINED"
+    assert main([cmd, spec, "--point", "2,3", flag, str(ORBIT_LENGTH_CAP + 1), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ORBIT_LENGTH_CAP = {ORBIT_LENGTH_CAP}" in captured.err
+
+
 def test_check_density_and_strict(tmp_path, capsys):
     rc = main(["check-density", _write_spec(tmp_path, WILD), "--point", "1,1", "--budget", "25"])
     assert rc == 0 and "NOT_CONTAINED" in capsys.readouterr().out
@@ -167,6 +181,13 @@ def test_large_prime_coordinate_ends_in_bounded_time(tmp_path):
         [sys.executable, "-m", "torusdyn.cli", "classify", spec], env=env, capture_output=True, timeout=10
     )
     assert proc.returncode in (0, 2), proc.stderr
+
+
+def test_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, torusdyn.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_map_spec_round_trip(tmp_path):

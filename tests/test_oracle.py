@@ -10,7 +10,7 @@ from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_family_points
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
-from torusdyn.kummer import char_eval, one_point, parse_point
+from torusdyn.kummer import char_eval, from_layers, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
     _evaluation_rows,
     _monomial_steps,
@@ -104,7 +104,7 @@ def test_numeric_roots_agree_with_exact_classification():
 def test_embedding_is_homomorphism():
     rng = random.Random(601)
     vals = [rand_kummer(rng) for _ in range(8)]
-    emb, _ = build_embedding(vals, random.Random(0))
+    emb, _ = build_embedding(*layer_orders(*layers_of([vals])), random.Random(0))
     q = emb.prime
     for _ in range(40):
         a, b = rng.choice(vals), rng.choice(vals)
@@ -250,10 +250,16 @@ def test_evaluation_rows_match_embedded_characters():
     for name, points, degree, seed in _containment_inputs():
         shift = tuple(c.inverse() for c in points[0])
         moved = [tuple(a * s for a, s in zip(p, shift)) for p in points]
+        # the shift on layers: subtract the first point's layers
+        den, primes, layers = layers_of(points)
+        moved_layers = [[[x - y for x, y in zip(u, v)] for u, v in zip(pt, layers[0])] for pt in layers]
+        assert [from_layers(den, primes, x) for x in moved_layers] == moved, name
+        needs = layer_orders(den, primes, moved_layers)
+        assert needs == layer_orders(*layers_of(moved)), name
         monos = _monomials(len(points[0]), degree)
-        emb, _ = build_embedding([c for p in moved for c in p], random.Random(seed))
+        emb, _ = build_embedding(*needs, random.Random(seed))
         ref = [[emb.embed(char_eval(p, m)) for m in monos] for p in moved]
-        assert _evaluation_rows(moved, _monomial_steps(monos), emb) == ref, name
+        assert _evaluation_rows(den, primes, moved_layers, _monomial_steps(monos), emb) == ref, name
 
 
 def test_containment_pinned_certificates():
