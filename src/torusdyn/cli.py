@@ -29,7 +29,7 @@ from pathlib import Path
 from . import dynamics, oracle
 from .errors import OracleError, ParseError, PreconditionError
 from .intlinalg import IntMatrix, Lattice
-from .kummer import KummerNumber, format_point, parse_point
+from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, parse_point, printable
 from .polyalg import IntPoly
 from .torus import AffineMonomialMap, Coset, Subtorus
 
@@ -363,6 +363,11 @@ def _cmd_orbit(args) -> int:
     phi = spec.to_map()
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.length)
+    if not all(printable(c) for p in orbit for c in p):
+        raise ParseError(
+            f"an exponent of this orbit passes {PRINT_DIGIT_LIMIT} digits, the limit on printing an integer; "
+            "ask for a shorter orbit with --length"
+        )
     lines = [f"{i}: {list(format_point(p))}" for i, p in enumerate(orbit)]
     payload = {"command": "orbit", "orbit": [list(format_point(p)) for p in orbit]}
     _emit(payload, args.json, lines)

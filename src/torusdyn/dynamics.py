@@ -29,7 +29,6 @@ from .intlinalg import (
     lattice_intersection,
     lattice_sum,
     left_kernel_saturated,
-    mat_vec,
     minpoly,
     rational_rank,
     right_kernel_matrix,
@@ -128,9 +127,9 @@ class FibrationWitness:
 def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     """All characters b with b*(A^l - I) = 0 and chi_b(gamma_l) = 1, as a lattice.
 
-    The condition chi_b(gamma_l) = 1 splits per exponent layer: one rational
-    linear equation per prime occurring in gamma_l, plus one congruence for
-    the torsion parts.
+    The condition chi_b(gamma_l) = 1 splits per exponent layer of gamma_l:
+    one integer linear equation per prime, plus one congruence for the
+    torsion layer.
     """
     a = phi.matrix
     n = phi.dim
@@ -140,33 +139,27 @@ def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
         return Lattice.zero(n)
     gamma = phi.iterate(ell).translation
     basis = kernel.basis  # s rows of length n
+    den, _, ((tors, *exps),) = layers_of([gamma])
 
     # prime layers: integer matrix whose right kernel is {c : chi_{c*B}(gamma) has no prime part}
-    prime_rows: list[list[int]] = []
-    for p in sorted({q for coord in gamma for q in coord.prime_support()}):
-        exps = [coord.prime_exponent(p) for coord in gamma]
-        vals = [sum(row[j] * exps[j] for j in range(n)) for row in basis]
-        den = math.lcm(*(v.denominator for v in vals))
-        prime_rows.append([int(v * den) for v in vals])
-    if prime_rows:
-        c_lat = left_kernel_saturated(IntMatrix.from_rows(prime_rows, s).transpose())
-    else:
-        c_lat = Lattice.full(s)
+    # (all of Z^s when gamma has no prime part)
+    prime_rows = [[sum(b * e for b, e in zip(row, layer)) for row in basis] for layer in exps]
+    c_lat = left_kernel_saturated(IntMatrix.from_rows(prime_rows, s).transpose())
     r = c_lat.rank
     if r == 0:
         return Lattice.zero(n)
 
-    # torsion layer: congruence sum_m u_m v_m = 0 (mod 1) over the c-lattice
-    w = [sum(row[j] * gamma[j].torsion for j in range(n)) for row in basis]
-    v = [sum(crow[i] * w[i] for i in range(s)) for crow in c_lat.basis]
-    delta = math.lcm(*(x.denominator for x in v))
+    # torsion layer: congruence sum_m u_m v_m = 0 (mod den) over the c-lattice
+    w = [sum(b * t for b, t in zip(row, tors)) for row in basis]
+    v = [sum(c * x for c, x in zip(crow, w)) for crow in c_lat.basis]
+    g = math.gcd(den, *v)
+    delta = den // g
     if delta == 1:
         u_rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     else:
-        vint = [int(x * delta) for x in v]
-        sol = solve_mod(IntMatrix.from_rows([vint], r), [0], delta)
+        sol = solve_mod(IntMatrix.from_rows([[x // g for x in v]], r), [0], delta)
         assert sol is not None  # homogeneous systems are always solvable
-        u_rows = [list(g) for g in sol.kernel_gens]
+        u_rows = [list(gen) for gen in sol.kernel_gens]
         u_rows.extend([delta if i == j else 0 for j in range(r)] for i in range(r))
     rows = [vec_mat(vec_mat(u, c_lat.basis_matrix()), IntMatrix.from_rows(basis, n)) for u in u_rows]
     return Lattice.from_rows(n, rows)
@@ -229,29 +222,32 @@ def wildness_certificate(phi: AffineMonomialMap) -> WildnessCertificate:
     assert (nilp**m).is_zero()
     proj, r = quotient_map(image_subtorus(nilp))
     gamma_bar = monomial_image(proj, phil.translation)
-    primes = tuple(sorted({p for coord in gamma_bar for p in coord.prime_support()}))
-    emat = tuple(tuple(coord.prime_exponent(p) for coord in gamma_bar) for p in primes)
-    dense = r == 0 or rational_rank(emat) == r
-    refutation = None
-    if not dense:
-        if emat:
-            dens = [math.lcm(*(f.denominator for f in row)) for row in emat]
-            int_rows = [[int(f * d) for f in row] for row, d in zip(emat, dens)]
-            ker = right_kernel_matrix(IntMatrix.from_rows(int_rows, r))
-            refutation = ker.col(0)
-        else:
-            refutation = tuple(1 if i == 0 else 0 for i in range(r))
+    den, primes, ((_, *exps),) = layers_of([gamma_bar])
+    emat = tuple(tuple(Fraction(e, den) for e in layer) for layer in exps)
+    dense = r == 0 or rational_rank(exps) == r
+    # with no prime layer every character refutes: the kernel is all of Z^r
+    refutation = None if dense else right_kernel_matrix(IntMatrix.from_rows(exps, r)).col(0)
     return WildnessCertificate(ell, m, proj, gamma_bar, primes, emat, dense, refutation)
 
 
 # -- decomposition ---------------------------------------------------------------
 
 
-def _point_from_layers(n: int, torsion, prime_exps: dict[int, list[Fraction]]) -> Point:
-    return tuple(
-        KummerNumber.build(torsion[j], {p: exps[j] for p, exps in prime_exps.items()})
-        for j in range(n)
-    )
+def _normalized(phi: AffineMonomialMap) -> tuple[int, AffineMonomialMap]:
+    """(l0, phi^l0) with l0 the lcm of the cyclotomic orders in the minimal
+    polynomial, so 1 is the only root of unity among the eigenvalues of phi^l0."""
+    factors, _ = cyclotomic_part(minpoly(phi.matrix))
+    l0 = math.lcm(*(d for d, _ in factors))
+    return l0, phi.iterate(l0) if l0 > 1 else phi
+
+
+def _preimage(m: IntMatrix, x: Point) -> Point:
+    """The point y with y^m = x, for m invertible over Q: one rational solve per exponent layer."""
+    den, primes, (layers,) = layers_of([x])
+    sols = [solve_rational(m, layer) for layer in layers]
+    assert all(sol is not None for sol in sols)
+    scale = math.lcm(*(c.denominator for sol in sols for c in sol))
+    return from_layers(den * scale, primes, [[(c * scale).numerator for c in sol] for sol in sols])
 
 
 @dataclass(frozen=True)
@@ -290,25 +286,14 @@ class Decomposition:
 
 def decompose(phi: AffineMonomialMap) -> Decomposition:
     """Split phi (after a normalizing iterate) along the multiplicity of eigenvalue 1."""
-    mp = minpoly(phi.matrix)
-    if quasi_unipotence(mp) is not None:
-        raise PreconditionError("decomposition requires dynamical degree > 1")
-    factors, _ = cyclotomic_part(mp)
-    l0 = math.lcm(*(d for d, _ in factors)) if factors else 1
-    base = phi.iterate(l0) if l0 > 1 else phi
+    l0, base = _normalized(phi)
     a = base.matrix
     n = phi.dim
-
-    p = minpoly(a)
-    r = 0
-    q = p
-    while True:
-        q2 = q.try_divide(IntPoly.from_coeffs([-1, 1]))
-        if q2 is None:
-            break
-        q = q2
-        r += 1
-    assert cyclotomic_part(q)[0] == (), "hyperbolic factor must be free of roots of unity"
+    factors, q = cyclotomic_part(minpoly(a))
+    if q.is_one():
+        raise PreconditionError("decomposition requires dynamical degree > 1")
+    assert all(d == 1 for d, _ in factors), "normalization leaves 1 as the only root of unity"
+    r = factors[0][1] if factors else 0
 
     x2 = image_subtorus(evaluate_poly(IntPoly.from_coeffs([-1, 1]) ** r, a))
     x1 = image_subtorus(evaluate_poly(q, a))
@@ -318,26 +303,13 @@ def decompose(phi: AffineMonomialMap) -> Decomposition:
     v1, v2 = x1.cochar_basis, x2.cochar_basis
     k1, k2 = v1.cols, v2.cols
     assert k1 + k2 == n
-    joint = IntMatrix.from_rows(
-        [[v1[i, j] for j in range(k1)] + [v2[i, j] for j in range(k2)] for i in range(n)], n
-    )
+    joint = IntMatrix.from_rows([r1 + r2 for r1, r2 in zip(v1.to_rows(), v2.to_rows())], n)
 
-    # split gamma = gamma1 * gamma2 layer by layer in exponent space
+    # split gamma = gamma1 * gamma2 through the coordinates along x1 and x2
     gamma = base.translation
-    wt = solve_rational(joint, [c.torsion for c in gamma])
-    assert wt is not None
-    support = sorted({p_ for c in gamma for p_ in c.prime_support()})
-    wp = {}
-    for p_ in support:
-        sol = solve_rational(joint, [c.prime_exponent(p_) for c in gamma])
-        assert sol is not None
-        wp[p_] = sol
-    t1 = mat_vec(v1, wt[:k1])
-    t2 = mat_vec(v2, wt[k1:])
-    e1 = {p_: list(mat_vec(v1, wp[p_][:k1])) for p_ in support}
-    e2 = {p_: list(mat_vec(v2, wp[p_][k1:])) for p_ in support}
-    gamma1 = _point_from_layers(n, t1, e1)
-    gamma2 = _point_from_layers(n, t2, e2)
+    w = _preimage(joint, gamma)
+    gamma1 = x1.embed(w[:k1])
+    gamma2 = x2.embed(w[k1:])
     assert tuple(u * v for u, v in zip(gamma1, gamma2)) == gamma
     assert x1.contains(gamma1) and x2.contains(gamma2)
 
@@ -354,14 +326,7 @@ def decompose(phi: AffineMonomialMap) -> Decomposition:
 
     # beta2 with beta2^(a2 - I) = s2; a2 - I is invertible over Q because q(1) != 0
     m2 = a2 - IntMatrix.identity(k2)
-    yt = solve_rational(m2, [c.torsion for c in s2])
-    assert yt is not None
-    ye = {}
-    for p_ in sorted({q_ for c in s2 for q_ in c.prime_support()}):
-        sol = solve_rational(m2, [c.prime_exponent(p_) for c in s2])
-        assert sol is not None
-        ye[p_] = list(sol)
-    beta2 = _point_from_layers(k2, yt, ye)
+    beta2 = _preimage(m2, s2)
     assert monomial_image(m2, beta2) == s2
     beta2_embedded = x2.embed(beta2)
 
@@ -394,6 +359,16 @@ def decompose(phi: AffineMonomialMap) -> Decomposition:
 # -- periodic torsion points -----------------------------------------------------
 
 
+def _cycle(rows: list[list[int]], d: int, u: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cycle of u under v -> rows * v mod d, in visiting order (rows invertible mod d)."""
+    orbit = [u]
+    while True:
+        v = tuple(sum(a * x for a, x in zip(row, orbit[-1])) % d for row in rows)
+        if v == u:
+            return orbit
+        orbit.append(v)
+
+
 def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tuple[Point, int]]:
     """Torsion points of order dividing d with their exact periods under x -> x^a2.
 
@@ -408,15 +383,12 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
         raise PreconditionError(f"torsion order {d} shares a factor with |det| = {abs(a2.det())}")
     k = a2.rows
     pure = AffineMonomialMap(a2, one_point(k))
+    rows = a2.to_rows()
     out: list[tuple[Point, int]] = []
     for u in itertools.product(range(d), repeat=k):
         if len(out) >= budget:
             break
-        period = 1
-        v = tuple(x % d for x in mat_vec(a2, u))
-        while v != u:
-            v = tuple(x % d for x in mat_vec(a2, v))
-            period += 1
+        period = len(_cycle(rows, d, u))
         point = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
         cur = point
         for _ in range(period):
@@ -457,11 +429,7 @@ def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[in
     for u in itertools.product(range(d), repeat=k):
         if u in seen or math.gcd(math.gcd(*u), d) != 1:
             continue
-        orbit = [u]
-        v = tuple(sum(a * x for a, x in zip(row, u)) % d for row in rows)
-        while v != u:
-            orbit.append(v)
-            v = tuple(sum(a * x for a, x in zip(row, v)) % d for row in rows)
+        orbit = _cycle(rows, d, u)
         seen.update(orbit)
         yield orbit
 
@@ -738,9 +706,7 @@ def recursive_classification(
     degree = dynamical_degree(phi, config.rel_tol)
     alternative = 2 if degree.exact_one else 1
 
-    factors, _ = cyclotomic_part(minpoly(phi.matrix))
-    l0 = math.lcm(*(d for d, _ in factors)) if factors else 1
-    norm = phi.iterate(l0) if l0 > 1 else phi
+    l0, norm = _normalized(phi)
     witness = find_invariant_fibration(norm, config.iterate_cap)
 
     verdict = q = child = None

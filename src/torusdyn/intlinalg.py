@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .kummer import is_prime
 from .polyalg import IntPoly
 
 
@@ -416,92 +417,64 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly.from_coeffs(list(reversed(coeffs_high)))
 
 
-def _rp_trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _minpoly_mod(m: IntMatrix, q: int) -> IntPoly | None:
+    """The first linear dependence among vec(I), vec(m), vec(m^2), ... modulo q.
 
-
-def _rp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        t = a[shift + len(b) - 1] / lead
-        if t:
-            q[shift] = t
-            for j, cb in enumerate(b):
-                a[shift + j] -= t * cb
-    return _rp_trim(q), _rp_trim(a)
-
-
-def _rp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _rp_divmod(a, b)
-        a, b = b, r
-    return [c / a[-1] for c in a]  # monic
-
-
-def _rp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _rp_trim(out)
-
-
-def _rp_lcm(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    g = _rp_gcd(a, b)
-    q, r = _rp_divmod(_rp_mul(a, b), g)
-    assert not r
-    return [c / q[-1] for c in q]
+    Row-by-row echelon reduction carries each power's combination of the
+    earlier powers along; the dependence is returned monic with coefficients
+    lifted into (-q/2, q/2].  None when a pivot is not a unit mod q (q
+    composite).  Cayley-Hamilton holds mod q, so the dependence comes by m^n.
+    """
+    n = m.rows
+    pivots: dict[int, tuple[list[int], list[int]]] = {}  # column j -> (row[j:], combination), scaled to row[j] = 1
+    power = IntMatrix.identity(n)
+    for k in range(n + 1):
+        v = list(power.entries)
+        c = [0] * (n + 1)
+        c[k] = 1
+        for j in range(n * n):
+            x = v[j] % q
+            if not x:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                if math.gcd(x, q) != 1:
+                    return None
+                inv = pow(x, -1, q)
+                pivots[j] = ([y * inv % q for y in v[j:]], [y * inv % q for y in c])
+                break
+            row, comb = piv
+            v[j:] = [a - x * b for a, b in zip(v[j:], row)]
+            c = [a - x * b for a, b in zip(c, comb)]
+        else:
+            c = [a % q for a in c[: k + 1]]
+            return IntPoly.from_coeffs([a - q if 2 * a > q else a for a in c])
+        power = power * m
+    raise AssertionError("no dependence by m^n: Cayley-Hamilton fails mod q")
 
 
 def minpoly(m: IntMatrix) -> IntPoly:
-    """Minimal polynomial via Krylov relation polynomials.
+    """Minimal polynomial: a dependence found modulo a prime, checked exactly.
 
-    For each standard basis vector, the first linear dependence among its
-    iterates yields a monic annihilator; the lcm over all basis vectors is
-    the minimal polynomial.  No integer factorization is involved.
+    Every eigenvalue is at most r, the largest absolute row sum, in absolute
+    value, so every coefficient of the minimal polynomial mu is at most
+    (1+r)^n; the first prime q above twice that makes the symmetric lift of
+    mu mod q equal mu.  Whatever q is, the result is exact: unit pivots make
+    I, m, ..., m^(k-1) independent over Q, so deg mu >= k, and p(m) = 0
+    gives mu | p, so the monic p of degree k is mu.  When p(m) != 0 (q
+    divides a minor of the power vectors) the next prime is tried.
     """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return IntPoly.one()
-    acc: list[Fraction] = [Fraction(1)]
-    for start in range(n):
-        if len(acc) - 1 == n:
-            break
-        # reduced row store: pivot column -> (vector, combination coefficients)
-        store: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-        w = [Fraction(1) if i == start else Fraction(0) for i in range(n)]
-        combo = [Fraction(1)]  # x^0
-        while True:
-            vec = list(w)
-            cmb = list(combo)
-            for pcol in sorted(store):
-                if vec[pcol]:
-                    svec, scmb = store[pcol]
-                    f = vec[pcol]
-                    vec = [a - f * b for a, b in zip(vec, svec)]
-                    c2 = list(cmb) + [Fraction(0)] * max(0, len(scmb) - len(cmb))
-                    for i, b in enumerate(scmb):
-                        c2[i] -= f * b
-                    cmb = c2
-            piv = next((i for i, a in enumerate(vec) if a), None)
-            if piv is None:
-                rel = _rp_trim(cmb)
-                rel = [c / rel[-1] for c in rel]
-                acc = _rp_lcm(acc, rel)
-                break
-            f = vec[piv]
-            store[piv] = ([a / f for a in vec], [a / f for a in cmb])
-            w = [sum(m[i, j] * w[j] for j in range(n)) for i in range(n)]
-            combo = [Fraction(0)] + combo
-    assert all(c.denominator == 1 for c in acc), "minimal polynomial must be integral"
-    return IntPoly.from_coeffs([c.numerator for c in acc])
+    r = max((sum(abs(x) for x in m.row(i)) for i in range(n)), default=0)
+    q = 2 * (1 + r) ** n
+    while True:
+        q += 1
+        if is_prime(q):
+            p = _minpoly_mod(m, q)
+            if p is not None and evaluate_poly(p, m).is_zero():
+                return p
 
 
 def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:

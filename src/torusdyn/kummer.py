@@ -258,8 +258,20 @@ class KummerNumber:
         return f"KummerNumber({str(self)!r})"
 
 
-# Folded integers stay below 10^4300, CPython's default limit on int -> str.
-_FOLD_LIMIT = 10**4300
+# CPython's default limit on the digits of an int -> str conversion.
+PRINT_DIGIT_LIMIT = 4300
+# Folded integers stay below this bound.
+_FOLD_LIMIT = 10**PRINT_DIGIT_LIMIT
+
+
+def printable(x: KummerNumber) -> bool:
+    """Whether every integer in str(x) has at most PRINT_DIGIT_LIMIT digits.
+
+    Folded products are kept within the limit by __str__ itself, so only the
+    torsion and the exponents can pass it.
+    """
+    fractions = (x.torsion, *(e for _, e in x.primes))
+    return all(abs(f.numerator) < _FOLD_LIMIT and f.denominator < _FOLD_LIMIT for f in fractions)
 
 
 def _fold(powers: Iterable[tuple[int, int]]) -> int | None:

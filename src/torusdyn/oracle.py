@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import OracleError, PreconditionError
@@ -556,14 +555,10 @@ def _hnf_lattices_bounded(n: int, cap: int):
 
 def _solvable_over_divisible(m: IntMatrix, rhs: list[KummerNumber]) -> bool:
     """Whether m * e(c) = exponents(rhs) has a solution point c, layer by layer."""
-    for p in sorted({q for v in rhs for q in v.prime_support()}):
-        if solve_rational(m, [v.prime_exponent(p) for v in rhs]) is None:
-            return False
-    torsion = [v.torsion for v in rhs]
-    for u in left_kernel_saturated(m).basis:
-        if sum(Fraction(ui) * t for ui, t in zip(u, torsion)) % 1 != 0:
-            return False
-    return True
+    den, _, ((tors, *exps),) = layers_of([rhs])
+    if any(solve_rational(m, layer) is None for layer in exps):
+        return False
+    return all(sum(u * t for u, t in zip(row, tors)) % den == 0 for row in left_kernel_saturated(m).basis)
 
 
 def invariant_coset_search(
@@ -591,15 +586,12 @@ def invariant_coset_search(
     per_ell = []
     for ell in periods:
         it = phi.iterate(ell)
-        gamma_l = it.translation
-        primes = sorted({p for c in gamma_l for p in c.prime_support()})
-        exps = {p: [c.prime_exponent(p) for c in gamma_l] for p in primes}
-        tors = [c.torsion for c in gamma_l]
-        per_ell.append((ell, it.matrix, it.matrix - eye, gamma_l, exps, tors))
+        den, _, ((tors, *exps),) = layers_of([it.translation])
+        per_ell.append((ell, it.matrix, it.matrix - eye, it.translation, den, exps, tors))
     found: list[tuple[Lattice, int]] = []
     for lat in _hnf_lattices_bounded(n, index_cap):
         basis = lat.basis
-        for ell, alc, alc_m1, gamma_l, exps, tors in per_ell:
+        for ell, alc, alc_m1, gamma_l, den, exps, tors in per_ell:
             moved = Lattice.from_rows(n, [vec_mat(b, alc) for b in basis])
             if moved != lat:
                 continue
@@ -607,8 +599,8 @@ def invariant_coset_search(
             if all(x == 0 for row in m_rows for x in row):
                 # the coset equation degenerates to chi_b(gamma_l) = 1 for all b
                 ok = all(
-                    all(sum(b[j] * e[j] for j in range(n)) == 0 for e in exps.values())
-                    and sum(b[j] * tors[j] for j in range(n)) % 1 == 0
+                    all(sum(x * e for x, e in zip(b, layer)) == 0 for layer in exps)
+                    and sum(x * t for x, t in zip(b, tors)) % den == 0
                     for b in basis
                 )
             else:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main
-from torusdyn.kummer import parse_point
+from torusdyn.kummer import PRINT_DIGIT_LIMIT, parse_point
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -106,6 +106,22 @@ def test_orbit_length_cap(tmp_path, capsys, cmd, flag):
     assert main([cmd, spec, "--point", "2,3", flag, str(ORBIT_LENGTH_CAP + 1), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"ORBIT_LENGTH_CAP = {ORBIT_LENGTH_CAP}" in captured.err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_orbit_digit_limit(tmp_path, capsys, mode):
+    # exponents gain about 6 digits a step: 700 steps print, 800 pass the limit
+    spec = _write_spec(tmp_path, {"matrix": [[1000000, 1], [1, 1]], "gamma": ["1", "1"], "options": {}})
+    assert main(["orbit", spec, "--point", "2,3", "-n", "700", *mode]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out) > 5 * 10**6
+    assert main(["orbit", spec, "--point", "2,3", "-n", "800", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{PRINT_DIGIT_LIMIT} digits" in captured.err
+    assert "Traceback" not in captured.err
+    # check-density prints no coordinates, so the same orbit is fine there
+    assert main(["check-density", spec, "--point", "2,3", "--budget", "800", *mode]) == 0
+    assert "NOT_CONTAINED" in capsys.readouterr().out
 
 
 def test_check_density_and_strict(tmp_path, capsys):

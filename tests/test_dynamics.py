@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import (
     ClassifyConfig,
     VERDICT_DENSE,
     VERDICT_FIBRATION,
     VERDICT_WILD,
+    FibrationWitness,
+    _fixed_character_lattice,
+    _preimage,
     classify,
     decompose,
     dynamical_degree,
@@ -20,9 +26,9 @@ from torusdyn.dynamics import (
 )
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix, evaluate_poly, lattice_intersection, lattice_sum, minpoly
-from torusdyn.kummer import char_eval, one_point, parse_point
+from torusdyn.kummer import KummerNumber, char_eval, one_point, parse_point
 from torusdyn.polyalg import IntPoly
-from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant
+from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
 from conftest import rand_point, rand_unipotent_automorphism
 
@@ -281,3 +287,86 @@ def test_recursion_restriction_uses_torsion_iterate():
     assert node.witness is not None
     assert node.restriction_iterate == 3
     assert node.child.dim == 1
+
+
+_torsions = st.integers(1, 12).flatmap(lambda m: st.integers(0, m - 1).map(lambda k: Fraction(k, m)))
+_exponents = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 6)))
+_coords = st.builds(
+    KummerNumber.build, _torsions, st.dictionaries(st.sampled_from((2, 3, 5, 1000003)), _exponents, max_size=3)
+)
+_invertible = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(IntMatrix.from_rows).filter(lambda m: m.det() != 0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_invertible, st.data())
+def test_preimage_round_trip(m, data):
+    x = data.draw(st.tuples(*[_coords] * m.rows))
+    y = _preimage(m, x)
+    assert monomial_image(m, y) == x
+
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# _fixed_character_lattice bases at each iterate, as computed before the
+# lattice was read off exponent layers: fixtures, then degree-one maps with
+# prime and torsion conditions, then fractional exponents with a torsion congruence
+FIXED_LATTICES = [
+    ("example_dense3", None, None, {1: ()}),
+    ("example_fibration", None, None, {1: ((2, -1),)}),
+    ("example_shear_wild", None, None, {1: ()}),
+    ("example_torsion_fibration", None, None, {1: ((0, 5),)}),
+    ("example_wild", None, None, {1: ()}),
+    (
+        "deg1_n4",
+        [[-5, 2, 1, -1], [-20, 5, 2, 0], [-6, 4, 2, -3], [-18, 6, 3, -2]],
+        ["zeta(3)^2 * 49/11", "zeta(3)^2 * 7/5", "zeta(3)^2 * 9/4", "zeta(3)^2 * 11/4"],
+        {1: (), 2: ((2, -1, -1, 1),), 4: ((2, 0, 1, -1), (0, 1, 0, -1), (0, 0, 2, -1))},
+    ),
+    (
+        "deg1_n5",
+        [[8, -4, 1, 3, 1], [-3, 1, 1, -2, -2], [-10, 4, -1, -4, -2], [-22, 11, -1, -9, -4], [5, -3, 0, 2, 1]],
+        ["zeta(4)^3 * 11", "zeta(6) * 121", "zeta(5)^4 * 1/121", "zeta(5) * 5", "1/3"],
+        {
+            1: (),
+            2: (),
+            3: ((1, 0, 1, 0, 0), (0, 0, 2, -1, -1)),
+            4: ((1, 0, -1, 0, -1), (0, 1, -3, -1, -3)),
+            6: ((1, 0, 1, 0, 0), (0, 0, 2, -1, -1)),
+            12: ((1, 0, 1, 0, 0), (0, 1, 1, 0, 1), (0, 0, 2, 0, 1), (0, 0, 0, 1, 2)),
+        },
+    ),
+    (
+        "deg1_n6",
+        [
+            [0, -1, 0, 0, 0, 0],
+            [1, -1, 0, 0, 0, 0],
+            [0, 0, 1, 1, -1, 0],
+            [1, -2, 0, -2, 3, -3],
+            [1, -2, 0, -3, 4, -3],
+            [0, -1, 0, -3, 4, -2],
+        ],
+        ["zeta(2) * 1/11", "25", "5", "zeta(2) * 1/121", "zeta(3)^2 * 1/9", "zeta(3) * 2"],
+        {1: (), 3: ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 0))},
+    ),
+    (
+        "deg1_n3",
+        [[1, -2, 2], [2, -2, 1], [0, -1, 2]],
+        ["49/3", "36", "1/225"],
+        {1: (), 2: (), 4: ((1, 0, -1), (0, 1, -1))},
+    ),
+    ("fractional", [[1, 0], [0, 1]], ["zeta(4) * 2^(1/2)", "zeta(3) * 2^(1/3)"], {1: ((4, -6),)}),
+]
+
+
+@pytest.mark.parametrize("name, rows, gamma, expected", FIXED_LATTICES, ids=[c[0] for c in FIXED_LATTICES])
+def test_fixed_character_lattice_pinned(name, rows, gamma, expected):
+    if rows is None:
+        phi = load_map_spec(str(FIXDIR / f"{name}.json")).to_map()
+    else:
+        phi = AffineMonomialMap.build(rows, parse_point(gamma))
+    for ell, basis in expected.items():
+        lat = _fixed_character_lattice(phi, ell)
+        assert lat.basis == basis, (name, ell)
+        assert all(FibrationWitness(ell, b, lat).verify(phi) for b in basis)

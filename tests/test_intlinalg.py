@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from torusdyn import intlinalg
 from torusdyn.intlinalg import (
     IntMatrix,
     Lattice,
@@ -24,6 +26,7 @@ from torusdyn.intlinalg import (
     solve_rational,
     vec_mat,
 )
+from torusdyn.kummer import MILLER_RABIN_LIMIT
 from torusdyn.polyalg import IntPoly
 
 from conftest import rand_matrix
@@ -200,6 +203,90 @@ def test_minpoly_projector_case():
     m = IntMatrix.from_rows([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
     assert minpoly(m) == IntPoly.from_coeffs([-3, 1])
     assert charpoly(m) == IntPoly.from_coeffs([-3, 1]) ** 3
+
+
+def _reference_minpoly(a: IntMatrix) -> IntPoly:
+    """The first dependence of vec(a^k) on vec(I), ..., vec(a^(k-1)), solved over Q."""
+    powers = [IntMatrix.identity(a.rows)]
+    while True:
+        nxt = powers[-1] * a
+        cols = IntMatrix.from_rows(list(zip(*(p.entries for p in powers))), len(powers))
+        sol = solve_rational(cols, nxt.entries)
+        if sol is not None:
+            assert all(c.denominator == 1 for c in sol)
+            return IntPoly.from_coeffs([-c for c in sol] + [1])
+        powers.append(nxt)
+
+
+@st.composite
+def _block_matrices(draw):
+    """n <= 6: dense blocks (often singular with small entries), c*I and c*I + shift
+    blocks (nilpotent when c = 0), repeated blocks, and entries up to 10^6; then
+    maybe conjugated by a shear, which keeps the minimal polynomial."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-2, 2), st.integers(-(10**6), 10**6))
+    a = [[0] * n for _ in range(n)]
+    i, prev = 0, None
+    while i < n:
+        kind = draw(st.sampled_from(("dense", "scalar", "jordan", "repeat")))
+        if kind == "repeat" and prev is not None and len(prev) <= n - i:
+            block = prev
+        else:
+            k = draw(st.integers(1, n - i))
+            if kind == "dense":
+                block = [[draw(entries) for _ in range(k)] for _ in range(k)]
+            else:
+                c = draw(entries)
+                block = [[c if s == t else int(kind == "jordan" and t == s + 1) for t in range(k)] for s in range(k)]
+        for s, row in enumerate(block):
+            a[i + s][i : i + len(block)] = row
+        i += len(block)
+        prev = block
+    m = IntMatrix.from_rows(a)
+    if n > 1 and draw(st.booleans()):
+        s, t = draw(st.sampled_from([(s, t) for s in range(n) for t in range(n) if s != t]))
+        shear = [[int(u == v) + (u == s and v == t) for v in range(n)] for u in range(n)]
+        inverse = [[int(u == v) - (u == s and v == t) for v in range(n)] for u in range(n)]
+        m = IntMatrix.from_rows(shear) * m * IntMatrix.from_rows(inverse)
+    return m
+
+
+_BIG = IntMatrix.from_rows([[10**6, 1, 0, 0], [0, 10**6, 0, 0], [0, 0, -(10**6), 0], [0, 0, 0, 10**6]])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_block_matrices())
+@example(IntMatrix.from_rows([[0]]))
+@example(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(IntMatrix.identity(6) * 7)
+@example(_BIG)
+def test_minpoly_matches_rational_dependence(m):
+    assert minpoly(m) == _reference_minpoly(m)
+
+
+def test_minpoly_modulus_can_pass_the_miller_rabin_limit():
+    # the first modulus tried is the first prime above 2 * (1 + r)^n, r = 10^6 + 1
+    assert 2 * (2 + 10**6) ** 4 > MILLER_RABIN_LIMIT
+    assert minpoly(_BIG) == IntPoly.from_coeffs([-(10**6), 1]) ** 2 * IntPoly.from_coeffs([10**6, 1])
+
+
+def test_minpoly_moves_to_the_next_prime(monkeypatch):
+    # mod 7, diag(1, 8) is the identity: the first dependence is x - 1, and p(A) = 0 rejects it
+    a = IntMatrix.from_rows([[1, 0], [0, 8]])
+    assert intlinalg._minpoly_mod(a, 7) == IntPoly.from_coeffs([-1, 1])
+    # a pivot that is not a unit (composite modulus) gives no answer
+    assert intlinalg._minpoly_mod(a, 49) is None
+    real = intlinalg._minpoly_mod
+    for bad in (7, 49):
+        moduli = []
+
+        def first_modulus_bad(m, q):
+            moduli.append(q)
+            return real(m, bad if len(moduli) == 1 else q)
+
+        monkeypatch.setattr(intlinalg, "_minpoly_mod", first_modulus_bad)
+        assert minpoly(a) == IntPoly.from_coeffs([8, -9, 1])
+        assert moduli == [163, 167]  # the primes above 2 * (1 + 8)^2 = 162
 
 
 def test_solve_rational():
