@@ -29,7 +29,7 @@ from pathlib import Path
 from . import dynamics, oracle
 from .errors import OracleError, ParseError, PreconditionError
 from .intlinalg import IntMatrix, Lattice
-from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, parse_point, printable
+from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, layers_of, parse_point, printable
 from .polyalg import IntPoly
 from .torus import AffineMonomialMap, Coset, Subtorus
 
@@ -381,7 +381,7 @@ def _cmd_check_density(args) -> int:
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.budget)
     result = oracle.hypersurface_containment(
-        orbit, config.degree_bound, seed=config.seed, retries=config.retries
+        layers_of(orbit), config.degree_bound, seed=config.seed, retries=config.retries
     )
     lines = [
         f"orbit of length {len(orbit)}: {result.status} "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -413,6 +413,8 @@ class CosetFamily:
     torsion_order: int
     orbit_exponents: tuple[tuple[int, ...], ...]
     cycle: tuple[Coset, ...]
+    # the cycle's bases as exponent layers (den, primes, one PointLayers per coset)
+    layers: tuple[int, tuple[int, ...], list[PointLayers]] = field(compare=False, repr=False)
 
 
 def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[int, ...]]]:
@@ -478,7 +480,10 @@ def invariant_family(
     if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
         raise AssertionError("the unipotent subtorus is not invariant under the map")
     det2 = abs(dec.a2.det())
-    beta_inv = tuple(c.inverse() for c in dec.beta2_embedded)
+    # every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit point u,
+    # so one encoding of beta2_embedded^-1 and gamma serves every orbit
+    den_b, primes, (beta_b, gamma_b) = layers_of((tuple(c.inverse() for c in dec.beta2_embedded), phi.translation))
+    v2 = dec.x2.cochar_basis.to_rows()
     rows = phi.matrix.to_rows()
     # a trivial x1 has the identity as annihilator basis: T/x1 is T itself
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
@@ -489,10 +494,12 @@ def invariant_family(
             break
         if math.gcd(d, det2) != 1:
             continue
+        den = math.lcm(den_b, d)
+        beta, gamma = ([[v * (den // den_b) for v in layer] for layer in x] for x in (beta_b, gamma_b))
+        v2d = [[a * (den // d) for a in row] for row in v2]  # torsion layer of x2.embed(u / d): v2d * u
         for orbit in _torsion_orbits_exact_order(dec.a2, d):
-            t0 = tuple(KummerNumber.build(Fraction(x, d), {}) for x in orbit[0])
-            base0 = tuple(u * v for u, v in zip(dec.x2.embed(t0), beta_inv))
-            den, primes, (cur, gamma) = layers_of((base0, phi.translation))
+            tors = [(sum(a * x for a, x in zip(row, orbit[0])) + b) % den for row, b in zip(v2d, beta[0])]
+            cur = [tors] + beta[1:]
             start = _project(proj, den, cur)
             bases, projections = [cur], [start]
             max_cycle = dec.normalize_iterate * len(orbit) + 1
@@ -511,7 +518,7 @@ def invariant_family(
                 continue
             seen.add(key)
             cycle = tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases)
-            families.append(CosetFamily(d, tuple(orbit), cycle))
+            families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))
             if len(families) >= budget:
                 break
     return families
@@ -524,7 +531,7 @@ def sample_family_points(
     cap: int = 200,
     torsion_lcm_cap: int = 1_000_000,
     radical_cost_cap: int = 4000,
-) -> list[Point]:
+) -> tuple[int, tuple[int, ...], list[PointLayers]]:
     """Deterministic sample of points on the family cosets (for density checks).
 
     Points whose torsion orders would push the pooled lcm past
@@ -533,52 +540,61 @@ def sample_family_points(
     denominators is capped, since that product is the expected number of
     candidate primes the embedding has to scan.  Low-order families supply
     more than enough points for the rank check.
+
+    The sample is exponent layers ``(den, primes, layers)``, as from
+    :func:`torusdyn.kummer.layers_of`: each base's layers over one den, and
+    seed i = p^e of base * x1.embed(seeds) adds e * cochar column i to p's layer.
     """
     rng = random.Random(seed)
-    pts: list[Point] = []
-    seen: set[Point] = set()
-    pool_lcm = 1
-    denoms: dict[int, int] = {}
-    anchor: Point | None = None
+    seed_primes = (2, 3, 5, 7)  # the coordinates of points along x1 are powers of these
+    den = math.lcm(*(fam.layers[0] for fam in families))
+    seeded = any(c.torus.dim for fam in families for c in fam.cycle)
+    primes = tuple(sorted({p for fam in families for p in fam.layers[1]}.union(seed_primes if seeded else ())))
+    row = {p: k for k, p in enumerate(primes, 1)}
 
-    def push(p: Point) -> bool:
+    def candidates() -> Iterator[PointLayers]:
+        for fam in families:
+            fam_den, fam_primes, fam_layers = fam.layers
+            scale = den // fam_den
+            for c, layers in zip(fam.cycle, fam_layers):
+                base = [[v * scale for v in layers[0]]] + [[0] * len(layers[0]) for _ in primes]
+                for p, layer in zip(fam_primes, layers[1:]):
+                    base[row[p]] = [v * scale for v in layer]
+                yield base
+                k = c.torus.dim
+                if k == 0:
+                    continue  # a point coset: every sample is the base, and no seed is drawn
+                v1 = c.torus.cochar_basis.to_rows()
+                for _ in range(per_coset - 1):
+                    x = [list(layer) for layer in base]
+                    for i in range(k):
+                        p, e = rng.choice(seed_primes), rng.randint(1, 3)
+                        x[row[p]] = [a + vrow[i] * e * den for a, vrow in zip(x[row[p]], v1)]
+                    yield x
+
+    pts: list[PointLayers] = []
+    seen: set[tuple] = set()  # torsion is reduced mod den, so equal points have equal layers
+    pool_lcm, denoms = 1, {}
+    for x in candidates():
+        key = tuple(map(tuple, x))
+        if key in seen:
+            continue
         # cost accounting mirrors the density test, which divides the pool by
         # its first point before embedding
-        nonlocal pool_lcm, anchor
-        if p in seen:
-            return False
-        if anchor is None:
-            anchor = p
-        den, primes, (lp, la) = layers_of((p, anchor))
-        rel = [[x - y for x, y in zip(u, v)] for u, v in zip(lp, la)]
+        rel = [[a - b for a, b in zip(u, v)] for u, v in zip(x, pts[0] if pts else x)]
         torsion_lcm, needed = layer_orders(den, primes, [rel])
         new_lcm = math.lcm(pool_lcm, torsion_lcm)
         new_denoms = dict(denoms)
         for q, n_q in needed.items():
             new_denoms[q] = math.lcm(new_denoms.get(q, 1), n_q)
-        cost = math.prod(new_denoms.values())
-        if new_lcm <= torsion_lcm_cap and cost <= radical_cost_cap:
-            seen.add(p)
-            pts.append(p)
+        if new_lcm <= torsion_lcm_cap and math.prod(new_denoms.values()) <= radical_cost_cap:
+            seen.add(key)
+            pts.append(x)
             pool_lcm = new_lcm
             denoms.update(new_denoms)
-        return len(pts) >= cap
-
-    for fam in families:
-        for c in fam.cycle:
-            if push(c.base):
-                return pts
-            k = c.torus.dim
-            if k == 0:
-                continue  # a point coset: every sample is the base, and no seed is drawn
-            for _ in range(per_coset - 1):
-                seeds = tuple(
-                    KummerNumber.from_rational(rng.choice([2, 3, 5, 7])) ** rng.randint(1, 3)
-                    for _ in range(k)
-                )
-                if push(c.sample(seeds)):
-                    return pts
-    return pts
+        if len(pts) >= cap:
+            break
+    return den, primes, pts
 
 
 # -- the classifier ------------------------------------------------------------------

@@ -454,7 +454,12 @@ def parse_kummer(text: str) -> KummerNumber:
         tok = tok.strip()
         if not tok:
             raise ParseError(f"empty factor in {text!r}")
-        acc = acc * _parse_factor(tok)
+        try:
+            acc = acc * _parse_factor(tok)
+        except ParseError:
+            raise
+        except ValueError as exc:  # an integer past CPython's int-from-str digit limit
+            raise ParseError(f"cannot parse coordinate factor: {exc}") from exc
     return acc
 
 

@@ -149,8 +149,10 @@ def _generator_mod(q: int) -> int:
     raise AssertionError("no generator found")
 
 
-def _discrete_log(q: int, g: int, h: int) -> int:
-    """Baby-step giant-step solution of g^x = h (mod q)."""
+def _discrete_logs(q: int, g: int, hs: list[int]) -> list[int]:
+    """Baby-step giant-step solutions of g^x = h (mod q), one baby-step table for every h."""
+    if not hs:
+        return []
     m = math.isqrt(q - 1) + 1
     table = {}
     cur = 1
@@ -158,12 +160,17 @@ def _discrete_log(q: int, g: int, h: int) -> int:
         table.setdefault(cur, j)
         cur = cur * g % q
     factor = pow(g, -m, q)
-    y = h % q
-    for i in range(m):
-        if y in table:
-            return (i * m + table[y]) % (q - 1)
-        y = y * factor % q
-    raise AssertionError("discrete log not found")
+    logs = []
+    for h in hs:
+        y = h % q
+        for i in range(m):
+            if y in table:
+                logs.append((i * m + table[y]) % (q - 1))
+                break
+            y = y * factor % q
+        else:
+            raise AssertionError("discrete log not found")
+    return logs
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,10 @@ def _try_embedding(torsion_lcm: int, needed: Mapping[int, int], q: int) -> Modul
     if any(p % q == 0 for p in needed):
         return None
     g = _generator_mod(q)
-    logs: dict[int, int] = {}
-    for p, n_p in sorted(needed.items()):
-        lg = _discrete_log(q, g, p % q)
-        if lg % n_p != 0:
-            return None
-        logs[p] = lg
+    ps = sorted(needed)
+    logs = dict(zip(ps, _discrete_logs(q, g, [p % q for p in ps])))
+    if any(logs[p] % needed[p] for p in ps):
+        return None
     logs = _consistent_branches(needed, logs, torsion_lcm, q, g)
     if logs is None:
         return None
@@ -456,38 +461,39 @@ def _evaluation_rows(
 
 
 def hypersurface_containment(
-    points: list[Point], degree_bound: int, seed: int = 0, retries: int = 32
+    sample: tuple[int, tuple[int, ...], list[PointLayers]], degree_bound: int, seed: int = 0, retries: int = 32
 ) -> ContainmentResult:
     """One-sided test that no hypersurface of bounded degree contains all points.
 
-    The monomial evaluation matrix (rows = points, columns = monomials of
-    total degree <= degree_bound, constants included) is pushed through a
-    modular embedding; full column rank modulo the chosen prime refutes any
-    vanishing relation in characteristic zero.  Rank deficits trigger a
-    retry with a fresh prime and finally UNDECIDED.
+    The points come as exponent layers ``(den, primes, layers)``, from
+    :func:`torusdyn.dynamics.sample_family_points` or
+    :func:`torusdyn.kummer.layers_of`.  The monomial evaluation matrix (rows
+    = points, columns = monomials of total degree <= degree_bound, constants
+    included) is pushed through a modular embedding; full column rank modulo
+    the chosen prime refutes any vanishing relation in characteristic zero.
+    Rank deficits trigger a retry with a fresh prime and finally UNDECIDED.
 
-    The points are split into exponent layers once; each coordinate is
-    embedded straight from its layers and every matrix entry is one modular
-    product of an earlier entry of its row with one coordinate.  The
-    embedding is a homomorphism on the group the coordinates generate
-    (every discrete log is divisible by the exponent denominators it
-    meets), so the entries equal the embedded monomial values.  The rank
-    computation stops at full column rank.
+    Each coordinate is embedded straight from its layers and every matrix
+    entry is one modular product of an earlier entry of its row with one
+    coordinate.  The embedding is a homomorphism on the group the
+    coordinates generate (every discrete log is divisible by the exponent
+    denominators it meets), so the entries equal the embedded monomial
+    values.  The rank computation stops at full column rank.
     """
-    if not points:
+    den, primes, layers = sample
+    if not layers:
         raise PreconditionError("need at least one point")
     if degree_bound < 1:
         raise PreconditionError("degree bound must be >= 1")
-    n = len(points[0])
-    if any(len(p) != n for p in points):
+    n = len(layers[0][0])
+    if any(len(x[0]) != n for x in layers):
         raise PreconditionError("points of mixed dimension")
     monos = _monomials(n, degree_bound)
-    if len(points) < len(monos):
-        return ContainmentResult("UNDECIDED", degree_bound, len(points), len(monos), None, None, 0)
+    if len(layers) < len(monos):
+        return ContainmentResult("UNDECIDED", degree_bound, len(layers), len(monos), None, None, 0)
     # translating the whole configuration by a fixed torus element maps the
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals
-    den, primes, layers = layers_of(points)
     first = layers[0]
     moved = [[[x - y for x, y in zip(u, v)] for u, v in zip(pt, first)] for pt in layers]
     torsion_lcm, needed = layer_orders(den, primes, moved)
@@ -503,9 +509,9 @@ def hypersurface_containment(
         rank = _rank_mod(_evaluation_rows(den, primes, moved, steps, emb), emb.prime)
         if rank == len(monos):
             return ContainmentResult(
-                "NOT_CONTAINED", degree_bound, len(points), len(monos), emb.prime, rank, attempts
+                "NOT_CONTAINED", degree_bound, len(layers), len(monos), emb.prime, rank, attempts
             )
-    return ContainmentResult("UNDECIDED", degree_bound, len(points), len(monos), None, None, attempts)
+    return ContainmentResult("UNDECIDED", degree_bound, len(layers), len(monos), None, None, attempts)
 
 
 # -- exact orbit prefixes ---------------------------------------------------------------

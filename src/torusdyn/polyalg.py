@@ -73,10 +73,6 @@ class IntPoly:
         return IntPoly((1,))
 
     @staticmethod
-    def x_minus(a: int) -> IntPoly:
-        return IntPoly((-a, 1))
-
-    @staticmethod
     def x_power_minus_one(n: int) -> IntPoly:
         return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 

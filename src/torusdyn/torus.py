@@ -172,10 +172,6 @@ class Subtorus:
             raise ValueError("point does not lie on the subtorus")
         return s
 
-    def sample(self, seeds: Point) -> Point:
-        """Ambient point generated by arbitrary subtorus coordinates (for tests)."""
-        return self.embed(seeds)
-
 
 def image_subtorus(m: IntMatrix) -> Subtorus:
     """Closure of the image of x -> x^m; its characters are the left kernel of m."""

@@ -27,7 +27,7 @@ from torusdyn.intlinalg import (
     lattice_sum,
     minpoly,
 )
-from torusdyn.kummer import char_eval, one_point, parse_point
+from torusdyn.kummer import char_eval, layers_of, one_point, parse_point
 from torusdyn.oracle import (
     finite_model_run,
     hypersurface_containment,
@@ -99,7 +99,7 @@ def test_criterion_2_flagship_example():
     found = invariant_coset_search(EXAMPLE_MAP, index_cap=50)
     assert found == []
     orbit = orbit_sample(EXAMPLE_MAP, one_point(2), 50)
-    res = hypersurface_containment(orbit, 3, seed=0)
+    res = hypersurface_containment(layers_of(orbit), 3, seed=0)
     assert res.not_contained
     _report(
         2,

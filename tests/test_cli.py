@@ -199,6 +199,24 @@ def test_large_prime_coordinate_ends_in_bounded_time(tmp_path):
     assert proc.returncode in (0, 2), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", str(FIXDIR / "example_wild.json"), "--point", "2^" + "1" * 4400 + ",1", "-n", "2"],
+        ["check-density", str(FIXDIR / "example_wild.json"), "--point", "zeta(" + "7" * 4400 + "),1"],
+    ],
+    ids=["orbit", "check-density"],
+)
+def test_point_integer_past_the_digit_limit_exits_2(argv):
+    # int() refuses strings of more than 4300 digits with a ValueError
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusdyn.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "parse error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, torusdyn.cli; print('numpy' in sys.modules)"

@@ -26,7 +26,7 @@ from torusdyn.dynamics import (
 )
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix, evaluate_poly, lattice_intersection, lattice_sum, minpoly
-from torusdyn.kummer import KummerNumber, char_eval, one_point, parse_point
+from torusdyn.kummer import KummerNumber, char_eval, from_layers, one_point, parse_point
 from torusdyn.polyalg import IntPoly
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
@@ -247,7 +247,8 @@ def test_sample_points_lie_on_families():
     from torusdyn.torus import membership
 
     fams = invariant_family(EX_HYPER, budget=8)
-    pts = sample_family_points(fams, seed=2, cap=50)
+    den, primes, layers = sample_family_points(fams, seed=2, cap=50)
+    pts = [from_layers(den, primes, x) for x in layers]
     assert pts
     hit = 0
     for p in pts:

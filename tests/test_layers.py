@@ -5,6 +5,7 @@ the density test's shift)."""
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,13 @@ from torusdyn.dynamics import (
     invariant_family,
     sample_family_points,
 )
-from torusdyn.intlinalg import IntMatrix, mat_vec
+from torusdyn.intlinalg import IntMatrix, mat_vec, minpoly
 from torusdyn.kummer import KummerNumber, format_point, from_layers, layer_orders, layers_of, parse_point
 from torusdyn.oracle import hypersurface_containment
+from torusdyn.polyalg import cyclotomic_part
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant
+
+from conftest import rand_point, rand_unimodular_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,9 +218,10 @@ def test_sample_and_containment_pinned():
     for name, (rows, gamma, pinned) in PIPELINE_CASES.items():
         phi = AffineMonomialMap.build(rows, parse_point(gamma))
         fams = invariant_family(phi, 8)
-        pts = sample_family_points(fams, 5)
+        sample = sample_family_points(fams, 5)
+        pts = [from_layers(sample[0], sample[1], x) for x in sample[2]]
         text = "\n".join(" ".join(format_point(p)) for p in pts)
-        res = hypersurface_containment(pts, pinned[3], seed=5)
+        res = hypersurface_containment(sample, pinned[3], seed=5)
         got = (
             len(pts),
             hashlib.sha256(text.encode()).hexdigest()[:16],
@@ -225,3 +230,100 @@ def test_sample_and_containment_pinned():
             (res.status, res.prime, res.rank, res.attempts),
         )
         assert got == pinned, name
+
+
+def reference_sample(families, seed, per_coset=3, cap=200, torsion_lcm_cap=1_000_000, radical_cost_cap=4000):
+    """The family sample as KummerNumber points, as it was computed before the
+    sample became layers (reference), and how many candidates the caps skipped."""
+    rng = random.Random(seed)
+    pts, seen = [], set()
+    pool_lcm, denoms, anchor, skipped = 1, {}, None, 0
+
+    def push(p):
+        nonlocal pool_lcm, anchor, skipped
+        if p in seen:
+            return False
+        if anchor is None:
+            anchor = p
+        den, primes, (lp, la) = layers_of((p, anchor))
+        rel = [[x - y for x, y in zip(u, v)] for u, v in zip(lp, la)]
+        torsion_lcm, needed = layer_orders(den, primes, [rel])
+        new_lcm = math.lcm(pool_lcm, torsion_lcm)
+        new_denoms = dict(denoms)
+        for q, n_q in needed.items():
+            new_denoms[q] = math.lcm(new_denoms.get(q, 1), n_q)
+        if new_lcm <= torsion_lcm_cap and math.prod(new_denoms.values()) <= radical_cost_cap:
+            seen.add(p)
+            pts.append(p)
+            pool_lcm = new_lcm
+            denoms.update(new_denoms)
+        else:
+            skipped += 1
+        return len(pts) >= cap
+
+    for fam in families:
+        for c in fam.cycle:
+            if push(c.base):
+                return pts, skipped
+            k = c.torus.dim
+            if k == 0:
+                continue
+            for _ in range(per_coset - 1):
+                seeds = tuple(
+                    KummerNumber.from_rational(rng.choice([2, 3, 5, 7])) ** rng.randint(1, 3) for _ in range(k)
+                )
+                if push(c.sample(seeds)):
+                    return pts, skipped
+    return pts, skipped
+
+
+def _random_degree_gt_one_map(rng, n, unipotent):
+    """A map of dynamical degree > 1 whose unipotent subtorus x1 has dimension
+    `unipotent`: a block [[H, B], [0, U]] (U unipotent, H with no root of unity
+    among its eigenvalues) conjugated by a random unimodular matrix."""
+    k = n - unipotent
+    while True:
+        h = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        hm = IntMatrix.from_rows(h, k)
+        if hm.det() == 0 or abs(hm.det()) > 10 or cyclotomic_part(minpoly(hm))[0]:
+            continue
+        rows = [h[i] + [rng.randint(-2, 2) for _ in range(unipotent)] for i in range(k)]
+        rows += [[0] * k + [1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(unipotent)] for i in range(unipotent)]
+        w, winv = rand_unimodular_pair(rng, n)
+        a = w * IntMatrix.from_rows(rows, n) * winv
+        phi = AffineMonomialMap(a, rand_point(rng, n, torsion_orders=(1, 2, 3, 4, 6), denoms=(1, 1, 2)))
+        assert decompose(phi).x1.dim == unipotent
+        return phi
+
+
+def _differential_maps():
+    maps = {name: phi for name, phi in _pipeline_maps().items() if name.startswith("example_")}
+    rng = random.Random(7070)
+    for n in range(2, 7):
+        for unipotent in (0, 1 + n % 2):
+            maps[f"random_n{n}_x1dim{unipotent}"] = _random_degree_gt_one_map(rng, n, unipotent)
+    return maps
+
+
+# (per_coset, cap, torsion_lcm_cap, radical_cost_cap): the defaults, then caps
+# small enough that candidates are skipped
+_SAMPLE_SETTINGS = [(3, 200, 1_000_000, 4000), (2, 60, 6, 8), (4, 200, 12, 2), (3, 40, 1, 1)]
+
+
+def test_layered_sample_matches_the_point_sample():
+    skipped = 0
+    for name, phi in _differential_maps().items():
+        fams = invariant_family(phi, 6)
+        for fam in fams:
+            den, primes, layers = fam.layers
+            assert [from_layers(den, primes, x) for x in layers] == [c.base for c in fam.cycle], name
+        for seed, (per_coset, cap, lcm_cap, cost_cap) in enumerate(_SAMPLE_SETTINGS):
+            kw = dict(per_coset=per_coset, cap=cap, torsion_lcm_cap=lcm_cap, radical_cost_cap=cost_cap)
+            ref, skips = reference_sample(fams, seed, **kw)
+            den, primes, layers = sample_family_points(fams, seed, **kw)
+            assert [from_layers(den, primes, x) for x in layers] == ref, (name, seed)
+            # layers_of would write the same points over a divisor of den and a subset of primes
+            assert all(0 <= t < den for x in layers for t in x[0])
+            assert set(layers_of(ref)[1]) <= set(primes) and den % layers_of(ref)[0] == 0
+            skipped += skips
+    assert skipped > 0

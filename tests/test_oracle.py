@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,11 @@ from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_family_points
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
-from torusdyn.kummer import char_eval, from_layers, layer_orders, layers_of, one_point, parse_point
+from torusdyn.kummer import char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
+    _discrete_logs,
     _evaluation_rows,
+    _generator_mod,
     _monomial_steps,
     _monomials,
     _rank_mod,
@@ -101,6 +104,52 @@ def test_numeric_roots_agree_with_exact_classification():
         assert float(lo) - 1e-9 <= top <= float(hi) + 1e-9
 
 
+def reference_discrete_log(q, g, h):
+    """Baby-step giant-step with a table built for this one log (reference)."""
+    m = math.isqrt(q - 1) + 1
+    table = {}
+    cur = 1
+    for j in range(m):
+        table.setdefault(cur, j)
+        cur = cur * g % q
+    factor = pow(g, -m, q)
+    y = h % q
+    for i in range(m):
+        if y in table:
+            return (i * m + table[y]) % (q - 1)
+        y = y * factor % q
+    raise AssertionError("discrete log not found")
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def _log_cases(draw):
+    """(q, g, hs): a prime q, a generator g of F_q^* and residues to take logs of."""
+    q = _next_prime(draw(st.integers(3, 5 * 10**6)))
+    # g0^e generates F_q^* exactly when gcd(e, q - 1) = 1
+    e = draw(st.integers(1, q - 2).filter(lambda e: math.gcd(e, q - 1) == 1))
+    g = pow(_generator_mod(q), e, q)
+    hs = draw(st.lists(st.integers(1, 3 * q), min_size=1, max_size=6).filter(lambda hs: all(h % q for h in hs)))
+    return q, g, hs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_log_cases())
+@example((1149037, _generator_mod(1149037), [2, 3, 5, 7, 1149036]))
+@example((44809381, _generator_mod(44809381), [2, 3, 44809380]))
+def test_shared_baby_steps_match_reference_log(case):
+    q, g, hs = case
+    logs = _discrete_logs(q, g, hs)
+    assert logs == [reference_discrete_log(q, g, h) for h in hs]
+    assert all(pow(g, x, q) == h % q for x, h in zip(logs, hs))
+    assert _discrete_logs(q, g, []) == []
+
+
 def test_embedding_is_homomorphism():
     rng = random.Random(601)
     vals = [rand_kummer(rng) for _ in range(8)]
@@ -115,18 +164,18 @@ def test_embedding_is_homomorphism():
 def test_containment_orbit_example():
     phi = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))
     pts = orbit_sample(phi, one_point(2), 21)
-    res = hypersurface_containment(pts, 3, seed=0)
+    res = hypersurface_containment(layers_of(pts), 3, seed=0)
     assert res.not_contained and res.rank == res.monomial_count == 10
 
 
 def test_containment_equal_points_undecided():
     pts = [parse_point(["2", "3"])] * 12
-    res = hypersurface_containment(pts, 1, seed=0)
+    res = hypersurface_containment(layers_of(pts), 1, seed=0)
     assert res.status == "UNDECIDED"
 
 
 def test_containment_too_few_points():
-    res = hypersurface_containment([one_point(2)], 3, seed=0)
+    res = hypersurface_containment(layers_of([one_point(2)]), 3, seed=0)
     assert res.status == "UNDECIDED" and res.attempts == 0
 
 
@@ -136,7 +185,7 @@ def test_containment_vertical_cosets():
     for k in range(5):
         for t in (2, 3, 5, 7, 11):
             pts.append(parse_point([str(t), f"zeta(5)^{k}" if k else "1"]))
-    res = hypersurface_containment(pts, 2, seed=1)
+    res = hypersurface_containment(layers_of(pts), 2, seed=1)
     assert res.not_contained and res.monomial_count == 6
 
 
@@ -145,7 +194,7 @@ def test_containment_replay_stability():
     pts = orbit_sample(phi, one_point(2), 25)
     primes = set()
     for seed in range(5):
-        res = hypersurface_containment(pts, 3, seed=seed)
+        res = hypersurface_containment(layers_of(pts), 3, seed=seed)
         assert res.not_contained
         primes.add(res.prime)
     assert len(primes) > 1  # genuinely different certificates, same verdict
@@ -153,9 +202,9 @@ def test_containment_replay_stability():
 
 def test_containment_preconditions():
     with pytest.raises(PreconditionError):
-        hypersurface_containment([], 3)
+        hypersurface_containment(layers_of([]), 3)
     with pytest.raises(PreconditionError):
-        hypersurface_containment([one_point(2)], 0)
+        hypersurface_containment(layers_of([one_point(2)]), 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -228,7 +277,8 @@ def _containment_inputs():
         out.append((f"{path.stem}/orbit", orbit_sample(phi, x, 25), 3, 0))
     for name, budget, seed in (("example_dense", 10, 11), ("example_dense3", 8, 13)):
         phi = load_map_spec(str(FIXDIR / f"{name}.json")).to_map()
-        out.append((f"{name}/family", sample_family_points(invariant_family(phi, budget), seed), 3, seed))
+        den, primes, layers = sample_family_points(invariant_family(phi, budget), seed)
+        out.append((f"{name}/family", [from_layers(den, primes, x) for x in layers], 3, seed))
     return out
 
 
@@ -265,7 +315,7 @@ def test_evaluation_rows_match_embedded_characters():
 def test_containment_pinned_certificates():
     got = {}
     for name, points, degree, seed in _containment_inputs():
-        res = hypersurface_containment(points, degree, seed=seed)
+        res = hypersurface_containment(layers_of(points), degree, seed=seed)
         got[name] = (res.status, res.prime, res.rank, res.attempts)
     assert got == _PINNED_CONTAINMENT
 
