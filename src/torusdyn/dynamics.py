@@ -13,11 +13,11 @@ under exact coset images.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from .errors import PreconditionError
@@ -36,7 +36,8 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, layer_orders, layers_of, one_point
+from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, from_parts, layer_orders, layers_of
+from .kummer import one_point, prime_parts
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
 from .torus import (
     AffineMonomialMap,
@@ -359,14 +360,26 @@ def decompose(phi: AffineMonomialMap) -> Decomposition:
 # -- periodic torsion points -----------------------------------------------------
 
 
+# The longest cycle _cycle keeps.  Periods on (Z/d)^k grow with d: the cat map's reach about 2d for a prime d.
+CYCLE_LENGTH_CAP = 10**6
+
+
 def _cycle(rows: list[list[int]], d: int, u: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The cycle of u under v -> rows * v mod d, in visiting order (rows invertible mod d)."""
+    """The cycle of u under v -> rows * v mod d, in visiting order (rows invertible mod d).
+    A cycle longer than CYCLE_LENGTH_CAP raises PreconditionError."""
     orbit = [u]
     while True:
-        v = tuple(sum(a * x for a, x in zip(row, orbit[-1])) % d for row in rows)
+        v = tuple(sum(map(mul, row, orbit[-1])) % d for row in rows)
         if v == u:
             return orbit
+        if len(orbit) == CYCLE_LENGTH_CAP:
+            raise PreconditionError(f"the cycle of {u} mod {d} is longer than CYCLE_LENGTH_CAP = {CYCLE_LENGTH_CAP}")
         orbit.append(v)
+
+
+def _residue_vectors(d: int, k: int) -> Iterator[tuple[int, ...]]:
+    """(Z/d)^k in the order of itertools.product(range(d), repeat=k), which would copy range(d) into a tuple."""
+    return (head + (x,) for head in _residue_vectors(d, k - 1) for x in range(d)) if k else iter([()])
 
 
 def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tuple[Point, int]]:
@@ -385,7 +398,7 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     pure = AffineMonomialMap(a2, one_point(k))
     rows = a2.to_rows()
     out: list[tuple[Point, int]] = []
-    for u in itertools.product(range(d), repeat=k):
+    for u in _residue_vectors(d, k):
         if len(out) >= budget:
             break
         period = len(_cycle(rows, d, u))
@@ -422,13 +435,9 @@ def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[in
 
     Lazy, so a caller that stops early never enumerates the rest of (Z/d)^k.
     """
-    k = a2.rows
-    if d == 1:
-        yield [(0,) * k]
-        return
     rows = a2.to_rows()
     seen: set[tuple[int, ...]] = set()
-    for u in itertools.product(range(d), repeat=k):
+    for u in _residue_vectors(d, a2.rows):
         if u in seen or math.gcd(math.gcd(*u), d) != 1:
             continue
         orbit = _cycle(rows, d, u)
@@ -436,27 +445,25 @@ def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[in
         yield orbit
 
 
+def _torsion_step(rows: list[list[int]], den: int, t: list[int], g: list[int]) -> list[int]:
+    """The torsion layer of gamma * x^A from x's and gamma's torsion layers, mod den."""
+    return [(sum(map(mul, row, t)) + c) % den for row, c in zip(rows, g)]
+
+
+def _prime_step(rows: list[list[int]], exps: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """The prime layers of gamma * x^A from x's and gamma's prime layers."""
+    return [[sum(map(mul, row, e)) + c for row, c in zip(rows, ge)] for e, ge in zip(exps, g)]
+
+
 def _affine_step(rows: list[list[int]], den: int, x: PointLayers, g: PointLayers) -> PointLayers:
     """gamma * x^A on exponent layers: one integer mat-vec per layer, torsion mod den."""
-    tors = [(sum(a * v for a, v in zip(row, x[0])) + c) % den for row, c in zip(rows, g[0])]
-    return [tors] + [
-        [sum(a * v for a, v in zip(row, e)) + c for row, c in zip(rows, ge)] for e, ge in zip(x[1:], g[1:])
-    ]
+    return [_torsion_step(rows, den, x[0], g[0])] + _prime_step(rows, x[1:], g[1:])
 
 
-def _project(rows: list[list[int]] | None, den: int, x: PointLayers) -> PointLayers:
-    """The character values of x under the given rows (None: x itself), layer by layer."""
-    if rows is None:
-        return x
-    return [[sum(a * v for a, v in zip(row, x[0])) % den for row in rows]] + [
-        [sum(a * v for a, v in zip(row, e)) for row in rows] for e in x[1:]
-    ]
-
-
-def _lowest_terms(den: int, x: PointLayers) -> tuple:
-    """Layers over the smallest denominator that carries them, as a hashable value."""
-    g = math.gcd(den, *(v for layer in x for v in layer))
-    return (den // g, tuple(tuple(v // g for v in layer) for layer in x))
+def _lowest_terms(den: int, t: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The values t / den as a hashable (denominator, numerators) pair in lowest terms."""
+    g = math.gcd(den, *t)
+    return (den // g, tuple(v // g for v in t))
 
 
 def invariant_family(
@@ -470,9 +477,13 @@ def invariant_family(
     image of its base, and the cycle is the orbit of the base on the exponent
     layers.  It closes when the base's projection to T/x1 (its character
     values under x1's annihilator basis) returns, which certifies invariance
-    of the union; the same projections in lowest terms identify the cycle
-    for deduplication.  Families are emitted by increasing torsion order
-    until the budget is met.
+    of the union; the same projections, as rational values, identify the
+    cycle for deduplication.  Families are emitted by increasing torsion
+    order until the budget is met.
+
+    Every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit
+    point u, so every orbit shares the prime layers of its k-th step.  That
+    trajectory is built once per call; each orbit steps only its torsion layer.
     """
     if budget <= 0:
         return []
@@ -480,13 +491,26 @@ def invariant_family(
     if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
         raise AssertionError("the unipotent subtorus is not invariant under the map")
     det2 = abs(dec.a2.det())
-    # every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit point u,
-    # so one encoding of beta2_embedded^-1 and gamma serves every orbit
-    den_b, primes, (beta_b, gamma_b) = layers_of((tuple(c.inverse() for c in dec.beta2_embedded), phi.translation))
+    den_b, primes, ((beta_t, *beta_e), (gamma_t, *gamma_e)) = layers_of(
+        (tuple(c.inverse() for c in dec.beta2_embedded), phi.translation)
+    )
     v2 = dec.x2.cochar_basis.to_rows()
     rows = phi.matrix.to_rows()
     # a trivial x1 has the identity as annihilator basis: T/x1 is T itself
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
+
+    # the shared prime trajectory over den_b, extended as the longest cycle needs:
+    # each step's prime layers, projection (hashable) and decoded prime parts
+    exps, images, parts = [], [], []
+
+    def reach(k: int) -> None:
+        while len(exps) <= k:
+            e = _prime_step(rows, exps[-1], gamma_e) if exps else beta_e
+            image = e if proj is None else [[sum(map(mul, row, layer)) for row in proj] for layer in e]
+            exps.append(e)
+            images.append(tuple(map(tuple, image)))
+            parts.append(prime_parts(den_b, primes, e, phi.dim))
+
     families: list[CosetFamily] = []
     seen: set = set()
     for d in range(1, torsion_cap + 1):
@@ -495,29 +519,32 @@ def invariant_family(
         if math.gcd(d, det2) != 1:
             continue
         den = math.lcm(den_b, d)
-        beta, gamma = ([[v * (den // den_b) for v in layer] for layer in x] for x in (beta_b, gamma_b))
+        s = den // den_b
+        beta, gamma = [v * s for v in beta_t], [v * s for v in gamma_t]
         v2d = [[a * (den // d) for a in row] for row in v2]  # torsion layer of x2.embed(u / d): v2d * u
+        fractions: dict[int, Fraction] = {}  # torsion Fractions over den
         for orbit in _torsion_orbits_exact_order(dec.a2, d):
-            tors = [(sum(a * x for a, x in zip(row, orbit[0])) + b) % den for row, b in zip(v2d, beta[0])]
-            cur = [tors] + beta[1:]
-            start = _project(proj, den, cur)
-            bases, projections = [cur], [start]
+            cur = [(sum(map(mul, row, orbit[0])) + b) % den for row, b in zip(v2d, beta)]
+            tors, projections = [], []
             max_cycle = dec.normalize_iterate * len(orbit) + 1
             while True:
-                cur = _affine_step(rows, den, cur, gamma)
-                image = _project(proj, den, cur)
-                if image == start:
+                image = cur if proj is None else [sum(map(mul, row, cur)) % den for row in proj]
+                reach(len(tors))
+                if tors and image == projections[0] and images[len(tors)] == images[0]:
                     break
-                bases.append(cur)
+                tors.append(cur)
                 projections.append(image)
-                if len(bases) > max_cycle:
+                if len(tors) > max_cycle:
                     raise AssertionError("coset cycle failed to close")
-            # every orbit of this map has the same primes, so the keys compare
-            key = frozenset(_lowest_terms(den, x) for x in projections)
+                cur = _torsion_step(rows, den, cur, gamma)
+            # the torsion projection in lowest terms and the prime projection over den_b
+            # are the projection's rational values, whatever d is
+            key = frozenset((_lowest_terms(den, t), im) for t, im in zip(projections, images))
             if key in seen:
                 continue
             seen.add(key)
-            cycle = tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases)
+            cycle = tuple(Coset(from_parts(den, t, p, fractions), dec.x1) for t, p in zip(tors, parts))
+            bases = [[t] + [[v * s for v in layer] for layer in e] for t, e in zip(tors, exps)]
             families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))
             if len(families) >= budget:
                 break

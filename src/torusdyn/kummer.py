@@ -374,11 +374,23 @@ def layers_of(points: Sequence[Point]) -> tuple[int, tuple[int, ...], list[Point
 def from_layers(den: int, primes: Sequence[int], layers: PointLayers) -> Point:
     """The canonical point with these layers (the torsion layer is read mod den)."""
     tors, *exps = layers
+    return from_parts(den, [t % den for t in tors], prime_parts(den, primes, exps, len(tors)), {})
+
+
+def prime_parts(den: int, primes: Sequence[int], exps: Sequence[list[int]], n: int) -> list[tuple]:
+    """Each of the n coordinates' canonical (prime, exponent) pairs, from its prime layers over den."""
+    return [tuple((p, Fraction(v[j], den)) for p, v in zip(primes, exps) if v[j]) for j in range(n)]
+
+
+def from_parts(den: int, tors: Sequence[int], parts: Sequence[tuple], table: dict[int, Fraction]) -> Point:
+    """The canonical point with torsion layer tors (entries in [0, den)) and prime parts from
+    :func:`prime_parts`; ``table`` keeps the torsion Fractions over den across calls."""
     out = []
-    for j, t in enumerate(tors):
-        t %= den
-        ps = tuple((p, Fraction(v[j], den)) for p, v in zip(primes, exps) if v[j])
-        out.append(_canonical(Fraction(t, den) if t else _ZERO, ps))
+    for t, ps in zip(tors, parts):
+        f = table.get(t)
+        if f is None:
+            f = table[t] = Fraction(t, den) if t else _ZERO
+        out.append(_canonical(f, ps))
     return tuple(out)
 
 

@@ -488,9 +488,10 @@ def hypersurface_containment(
     n = len(layers[0][0])
     if any(len(x[0]) != n for x in layers):
         raise PreconditionError("points of mixed dimension")
+    count = math.comb(n + degree_bound, n)  # counted before listing them, which a large D makes infeasible
+    if len(layers) < count:
+        return ContainmentResult("UNDECIDED", degree_bound, len(layers), count, None, None, 0)
     monos = _monomials(n, degree_bound)
-    if len(layers) < len(monos):
-        return ContainmentResult("UNDECIDED", degree_bound, len(layers), len(monos), None, None, 0)
     # translating the whole configuration by a fixed torus element maps the
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -215,6 +216,34 @@ def test_point_integer_past_the_digit_limit_exits_2(argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert "parse error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _limit_address_space():
+    # 2 GB, under which `periodic -d 1000000007` once ran out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", str(FIXDIR / "example_dense3.json"), "--degree-bound", "1000", "--json"],
+        ["check-density", str(FIXDIR / "example_wild.json"), "--point", "2,3", "--degree-bound", "100000", "--json"],
+        ["periodic", str(FIXDIR / "example_dense.json"), "-d", "1000000007", "--json"],
+    ],
+    ids=["classify-degree-bound", "check-density-degree-bound", "periodic-large-modulus"],
+)
+def test_hostile_repros_end_in_bounded_time(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusdyn.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_import_leaves_numpy_unloaded():

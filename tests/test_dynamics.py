@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusdyn.cli import load_map_spec
+from torusdyn import dynamics
 from torusdyn.dynamics import (
     ClassifyConfig,
     VERDICT_DENSE,
@@ -14,6 +16,7 @@ from torusdyn.dynamics import (
     FibrationWitness,
     _fixed_character_lattice,
     _preimage,
+    _residue_vectors,
     classify,
     decompose,
     dynamical_degree,
@@ -186,6 +189,23 @@ def test_periodic_torsion_points_examples():
     assert {per for p, per in pts7 if not p[0].is_one()} == {3}
     with pytest.raises(PreconditionError):
         periodic_torsion_points(IntMatrix.from_rows([[2]]), 4)
+
+
+def test_residue_vectors_match_product():
+    for d in (1, 2, 5):
+        for k in range(4):
+            assert list(_residue_vectors(d, k)) == list(itertools.product(range(d), repeat=k))
+
+
+def test_cycle_length_cap(monkeypatch):
+    cat = IntMatrix.from_rows([[2, 1], [1, 1]])
+    # mod 11 the cat map's nonzero cycles have length 5
+    assert all(per in (1, 5) for _, per in periodic_torsion_points(cat, 11))
+    monkeypatch.setattr(dynamics, "CYCLE_LENGTH_CAP", 5)
+    assert len(periodic_torsion_points(cat, 11)) == 121
+    monkeypatch.setattr(dynamics, "CYCLE_LENGTH_CAP", 4)
+    with pytest.raises(PreconditionError, match="CYCLE_LENGTH_CAP = 4"):
+        periodic_torsion_points(cat, 11)
 
 
 def test_invariant_family_diagonal():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import (
+    CosetFamily,
     _affine_step,
     _torsion_orbits_exact_order,
     decompose,
@@ -24,7 +25,7 @@ from torusdyn.intlinalg import IntMatrix, mat_vec, minpoly
 from torusdyn.kummer import KummerNumber, format_point, from_layers, layer_orders, layers_of, parse_point
 from torusdyn.oracle import hypersurface_containment
 from torusdyn.polyalg import cyclotomic_part
-from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant
+from torusdyn.torus import AffineMonomialMap, Coset, coset_cycle_invariant, subtorus_image_under
 
 from conftest import rand_point, rand_unimodular_pair
 
@@ -327,3 +328,121 @@ def test_layered_sample_matches_the_point_sample():
             assert set(layers_of(ref)[1]) <= set(primes) and den % layers_of(ref)[0] == 0
             skipped += skips
     assert skipped > 0
+
+
+def _project(rows, den, x):
+    if rows is None:
+        return x
+    return [[sum(a * v for a, v in zip(row, x[0])) % den for row in rows]] + [
+        [sum(a * v for a, v in zip(row, e)) for row in rows] for e in x[1:]
+    ]
+
+
+def _lowest_terms(den, x):
+    g = math.gcd(den, *(v for layer in x for v in layer))
+    return (den // g, tuple(tuple(v // g for v in layer) for layer in x))
+
+
+def reference_family(phi, budget, torsion_cap=50):
+    """invariant_family as it was before the orbits shared one prime trajectory
+    (reference): every orbit steps and projects all of its exponent layers."""
+    if budget <= 0:
+        return []
+    dec = decompose(phi)
+    assert subtorus_image_under(phi.matrix, dec.x1) == dec.x1
+    det2 = abs(dec.a2.det())
+    den_b, primes, (beta_b, gamma_b) = layers_of((tuple(c.inverse() for c in dec.beta2_embedded), phi.translation))
+    v2 = dec.x2.cochar_basis.to_rows()
+    rows = phi.matrix.to_rows()
+    proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
+    families, seen = [], set()
+    for d in range(1, torsion_cap + 1):
+        if len(families) >= budget:
+            break
+        if math.gcd(d, det2) != 1:
+            continue
+        den = math.lcm(den_b, d)
+        beta, gamma = ([[v * (den // den_b) for v in layer] for layer in x] for x in (beta_b, gamma_b))
+        v2d = [[a * (den // d) for a in row] for row in v2]
+        for orbit in _torsion_orbits_exact_order(dec.a2, d):
+            tors = [(sum(a * x for a, x in zip(row, orbit[0])) + b) % den for row, b in zip(v2d, beta[0])]
+            cur = [tors] + beta[1:]
+            start = _project(proj, den, cur)
+            bases, projections = [cur], [start]
+            max_cycle = dec.normalize_iterate * len(orbit) + 1
+            while True:
+                cur = _affine_step(rows, den, cur, gamma)
+                image = _project(proj, den, cur)
+                if image == start:
+                    break
+                bases.append(cur)
+                projections.append(image)
+                assert len(bases) <= max_cycle, "coset cycle failed to close"
+            key = frozenset(_lowest_terms(den, x) for x in projections)
+            if key in seen:
+                continue
+            seen.add(key)
+            cycle = tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases)
+            families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))
+            if len(families) >= budget:
+                break
+    return families
+
+
+# blocks of a block-diagonal matrix: finite-order ones by their order, unipotent
+# Jordan blocks and hyperbolic ones (no root of unity among the eigenvalues) by size
+_FINITE = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]], 6: [[1, -1], [1, 0]],
+           12: [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]}  # companion of x^4 - x^2 + 1
+_UNIPOTENT = {1: [[1]], 2: [[1, 1], [0, 1]]}
+_HYPERBOLIC = {1: [[2]], 2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 1], [1, 0, 2]]}
+
+# (finite orders, unipotent sizes, hyperbolic size) -> (normalize_iterate, dim x1, n)
+_BLOCK_CASES = {
+    ((), (), 2): (1, 0, 2),
+    ((), (), 3): (1, 0, 3),
+    ((), (1,), 1): (1, 1, 2),
+    ((), (2,), 2): (1, 2, 4),
+    ((), (1, 2), 3): (1, 3, 6),
+    ((2,), (), 1): (2, 1, 2),
+    ((2,), (2,), 1): (2, 3, 4),
+    ((3,), (), 1): (3, 2, 3),
+    ((3,), (1,), 2): (3, 3, 5),
+    ((4,), (), 2): (4, 2, 4),
+    ((4,), (2,), 1): (4, 4, 5),
+    ((4,), (2,), 2): (4, 4, 6),
+    ((6,), (), 1): (6, 2, 3),
+    ((6, 2), (), 2): (6, 3, 5),
+    ((12,), (), 1): (12, 4, 5),
+    ((4, 3), (), 2): (12, 4, 6),
+}
+
+
+def _block_map(rng, finite, unipotent, hyperbolic):
+    blocks = [_FINITE[k] for k in finite] + [_UNIPOTENT[k] for k in unipotent] + [_HYPERBOLIC[hyperbolic]]
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(row)] = row
+        at += len(b)
+    w, winv = rand_unimodular_pair(rng, n)
+    gamma = rand_point(rng, n, torsion_orders=(1, 2, 3, 4, 6), denoms=(1, 2, 3))
+    return AffineMonomialMap(w * IntMatrix.from_rows(rows, n) * winv, gamma)
+
+
+def test_shared_prime_trajectory_matches_the_full_layer_loop():
+    rng = random.Random(8080)
+    maps = {name: (phi, None) for name, phi in _pipeline_maps().items() if name.startswith("example_")}
+    for case, shape in _BLOCK_CASES.items():
+        maps[str(case)] = (_block_map(rng, *case), shape)
+    # x1 and x2 meet in a nontrivial finite group here, so a cycle of a higher
+    # torsion order can repeat one over a smaller denominator
+    for gamma in (["1", "1"], ["-5/4", "1"]):
+        maps[f"meeting_{gamma}"] = (AffineMonomialMap.build([[-3, -3], [0, 1]], parse_point(gamma)), (1, 1, 2))
+    for name, (phi, shape) in maps.items():
+        if shape is not None:
+            dec = decompose(phi)
+            assert (dec.normalize_iterate, dec.x1.dim, phi.dim) == shape, name
+        got, ref = invariant_family(phi, 12), reference_family(phi, 12)
+        assert got == ref and repr(got) == repr(ref), name
+        assert [f.layers for f in got] == [f.layers for f in ref], name

@@ -179,6 +179,14 @@ def test_containment_too_few_points():
     assert res.status == "UNDECIDED" and res.attempts == 0
 
 
+def test_containment_counts_monomials_before_listing_them():
+    # C(10^6 + 3, 3) monomials would never fit in memory; the count alone decides
+    pts = layers_of([parse_point(["2", "3", "5"]), parse_point(["7", "11", "13"])])
+    res = hypersurface_containment(pts, 10**6, seed=0)
+    assert (res.status, res.point_count, res.monomial_count, res.attempts) == ("UNDECIDED", 2, math.comb(10**6 + 3, 3), 0)
+    assert hypersurface_containment(pts, 2, seed=0).monomial_count == 10
+
+
 def test_containment_vertical_cosets():
     # five cosets {y = zeta_5^k} with five samples each: no conic contains all 25
     pts = []
