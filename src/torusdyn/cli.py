@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,28 +129,20 @@ def _check_flags(args) -> None:
 
 
 def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
-    merged = dict(spec.options)
+    options = dict(spec.options)
     for key in (*_CAP_FLAGS, "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
+            options[key] = flag
+    default = dynamics.ClassifyConfig()
+    text = options.pop("tolerance", None)
     try:
-        tol = Fraction(merged.get("tolerance", "1/1000"))
+        tol = default.rel_tol if text is None else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"tolerance {merged['tolerance']!r} is not a fraction") from exc
+        raise ParseError(f"tolerance {text!r} is not a fraction") from exc
     if tol < _TOLERANCE_FLOOR:
         raise ParseError(f"tolerance must be at least {_TOLERANCE_FLOOR}")
-    return dynamics.ClassifyConfig(
-        iterate_cap=merged.get("iterate_cap", 360),
-        degree_bound=merged.get("degree_bound", 3),
-        torsion_cap=merged.get("torsion_cap", 50),
-        seed=merged.get("seed", 0),
-        retries=merged.get("retries", 32),
-        rel_tol=tol,
-        family_budget=merged.get("family_budget", 40),
-        point_budget=merged.get("point_budget", 200),
-        force_family=bool(getattr(args, "force_family", False)),
-    )
+    return replace(default, **options, rel_tol=tol, force_family=bool(getattr(args, "force_family", False)))
 
 
 # -- serialization --------------------------------------------------------------
@@ -241,17 +233,6 @@ def to_jsonable(obj):
             "invariant_family": [to_jsonable(f) for f in obj.family],
             "density": to_jsonable(obj.density),
             "flags": list(obj.flags),
-        }
-    if isinstance(obj, dynamics.RecursionNode):
-        return {
-            "dim": obj.dim,
-            "normalize_iterate": obj.normalize_iterate,
-            "alternative": obj.alternative,
-            "witness": to_jsonable(obj.witness),
-            "restriction_iterate": obj.restriction_iterate,
-            "verdict": obj.verdict,
-            "depth_exhausted": obj.depth_exhausted,
-            "child": to_jsonable(obj.child),
         }
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}

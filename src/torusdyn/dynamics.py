@@ -30,9 +30,7 @@ from .intlinalg import (
     lattice_sum,
     left_kernel_saturated,
     minpoly,
-    rational_rank,
     right_kernel_matrix,
-    solve_mod,
     solve_rational,
     vec_mat,
 )
@@ -150,19 +148,12 @@ def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     if r == 0:
         return Lattice.zero(n)
 
-    # torsion layer: congruence sum_m u_m v_m = 0 (mod den) over the c-lattice
+    # torsion layer: congruence sum_m u_m v_m = 0 (mod den) over the c-lattice; its
+    # solutions are the first r coordinates of the integer kernel of the column [v, den]
     w = [sum(b * t for b, t in zip(row, tors)) for row in basis]
     v = [sum(c * x for c, x in zip(crow, w)) for crow in c_lat.basis]
-    g = math.gcd(den, *v)
-    delta = den // g
-    if delta == 1:
-        u_rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    else:
-        sol = solve_mod(IntMatrix.from_rows([[x // g for x in v]], r), [0], delta)
-        assert sol is not None  # homogeneous systems are always solvable
-        u_rows = [list(gen) for gen in sol.kernel_gens]
-        u_rows.extend([delta if i == j else 0 for j in range(r)] for i in range(r))
-    rows = [vec_mat(vec_mat(u, c_lat.basis_matrix()), IntMatrix.from_rows(basis, n)) for u in u_rows]
+    u_lat = left_kernel_saturated(IntMatrix.from_rows([[x] for x in v + [den]], 1))
+    rows = [vec_mat(vec_mat(u[:r], c_lat.basis_matrix()), IntMatrix.from_rows(basis, n)) for u in u_lat.basis]
     return Lattice.from_rows(n, rows)
 
 
@@ -225,9 +216,10 @@ def wildness_certificate(phi: AffineMonomialMap) -> WildnessCertificate:
     gamma_bar = monomial_image(proj, phil.translation)
     den, primes, ((_, *exps),) = layers_of([gamma_bar])
     emat = tuple(tuple(Fraction(e, den) for e in layer) for layer in exps)
-    dense = r == 0 or rational_rank(exps) == r
     # with no prime layer every character refutes: the kernel is all of Z^r
-    refutation = None if dense else right_kernel_matrix(IntMatrix.from_rows(exps, r)).col(0)
+    kernel = right_kernel_matrix(IntMatrix.from_rows(exps, r))
+    dense = kernel.cols == 0
+    refutation = None if dense else kernel.col(0)
     return WildnessCertificate(ell, m, proj, gamma_bar, primes, emat, dense, refutation)
 
 
@@ -386,7 +378,8 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     """Torsion points of order dividing d with their exact periods under x -> x^a2.
 
     Requires gcd(d, |det a2|) = 1 so every such point is periodic.  Each
-    returned pair is re-verified by exact iteration.
+    returned pair is re-verified exactly, by one monomial image under
+    a2^period mod d (which acts on points of order dividing d as a2^period does).
     """
     if a2.rows != a2.cols:
         raise PreconditionError("endomorphism matrix must be square")
@@ -394,19 +387,14 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
         raise PreconditionError("torsion order must be positive")
     if math.gcd(d, abs(a2.det())) != 1:
         raise PreconditionError(f"torsion order {d} shares a factor with |det| = {abs(a2.det())}")
-    k = a2.rows
-    pure = AffineMonomialMap(a2, one_point(k))
     rows = a2.to_rows()
     out: list[tuple[Point, int]] = []
-    for u in _residue_vectors(d, k):
+    for u in _residue_vectors(d, a2.rows):
         if len(out) >= budget:
             break
         period = len(_cycle(rows, d, u))
         point = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
-        cur = point
-        for _ in range(period):
-            cur = pure.apply(cur)
-        assert cur == point, "period verification failed"
+        assert monomial_image(pow(a2, period, d), point) == point, "period verification failed"
         out.append((point, period))
     return out
 
@@ -484,6 +472,9 @@ def invariant_family(
     Every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit
     point u, so every orbit shares the prime layers of its k-th step.  That
     trajectory is built once per call; each orbit steps only its torsion layer.
+    Its projection to T/x1 is the fixed point of the map induced there (no
+    eigenvalue on T/x1 is a root of unity), so it is checked once, on the
+    first step, and cycles close and dedupe on their torsion projections.
     """
     if budget <= 0:
         return []
@@ -500,16 +491,23 @@ def invariant_family(
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
 
     # the shared prime trajectory over den_b, extended as the longest cycle needs:
-    # each step's prime layers, projection (hashable) and decoded prime parts
-    exps, images, parts = [], [], []
+    # each step's prime layers and decoded prime parts
+    exps, parts = [], []
 
     def reach(k: int) -> None:
         while len(exps) <= k:
             e = _prime_step(rows, exps[-1], gamma_e) if exps else beta_e
-            image = e if proj is None else [[sum(map(mul, row, layer)) for row in proj] for layer in e]
             exps.append(e)
-            images.append(tuple(map(tuple, image)))
             parts.append(prime_parts(den_b, primes, e, phi.dim))
+
+    # x1 is invariant, so its annihilator basis P has P*A = A'*P, and P*e_(k+1) = A'*P*e_k + P*g:
+    # a first step that fixes P*e_0 fixes it at every step
+    def project(e: list[list[int]]) -> list[list[int]]:
+        return [[sum(map(mul, row, layer)) for row in dec.x1.annihilator.basis] for layer in e]
+
+    reach(1)
+    if project(exps[0]) != project(exps[1]):
+        raise AssertionError("the shared prime layers do not project to a fixed point of T/x1")
 
     families: list[CosetFamily] = []
     seen: set = set()
@@ -529,20 +527,19 @@ def invariant_family(
             max_cycle = dec.normalize_iterate * len(orbit) + 1
             while True:
                 image = cur if proj is None else [sum(map(mul, row, cur)) % den for row in proj]
-                reach(len(tors))
-                if tors and image == projections[0] and images[len(tors)] == images[0]:
+                if tors and image == projections[0]:
                     break
                 tors.append(cur)
                 projections.append(image)
                 if len(tors) > max_cycle:
                     raise AssertionError("coset cycle failed to close")
                 cur = _torsion_step(rows, den, cur, gamma)
-            # the torsion projection in lowest terms and the prime projection over den_b
-            # are the projection's rational values, whatever d is
-            key = frozenset((_lowest_terms(den, t), im) for t, im in zip(projections, images))
+            # the torsion projection in lowest terms is its rational values, whatever d is
+            key = frozenset(_lowest_terms(den, t) for t in projections)
             if key in seen:
                 continue
             seen.add(key)
+            reach(len(tors) - 1)
             cycle = tuple(Coset(from_parts(den, t, p, fractions), dec.x1) for t, p in zip(tors, parts))
             bases = [[t] + [[v * s for v in layer] for layer in e] for t, e in zip(tors, exps)]
             families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))

@@ -119,17 +119,22 @@ class IntMatrix:
             return self * other
         return NotImplemented
 
-    def __pow__(self, k: int) -> IntMatrix:
+    def __pow__(self, k: int, modulus: int | None = None) -> IntMatrix:
+        """self^k; with a modulus, as in three-argument pow, every product is reduced mod it."""
         if self.rows != self.cols:
             raise ValueError("matrix power needs a square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        acc = IntMatrix.identity(self.rows)
-        base = self
+
+        def reduce(m: IntMatrix) -> IntMatrix:
+            return m if modulus is None else m.mod(modulus)
+
+        acc = reduce(IntMatrix.identity(self.rows))
+        base = reduce(self)
         while k:
             if k & 1:
-                acc = acc * base
-            base = base * base
+                acc = reduce(acc * base)
+            base = reduce(base * base)
             k >>= 1
         return acc
 
@@ -541,48 +546,3 @@ def solve_rational(m: IntMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     for i, j in enumerate(piv_cols):
         x[j] = rows[i][m.cols]
     return tuple(x)
-
-
-@dataclass(frozen=True)
-class ModSolution:
-    """Solution set of m*x = b (mod modulus): particular + span of kernel_gens."""
-
-    modulus: int
-    particular: tuple[int, ...]
-    kernel_gens: tuple[tuple[int, ...], ...]
-
-
-def solve_mod(m: IntMatrix, b: Sequence[int], modulus: int) -> ModSolution | None:
-    """All solutions of m*x = b modulo d, via the Smith normal form."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    d, u, v = smith_normal_form(m)
-    c = [x % modulus for x in mat_vec(u, list(b))]
-    k = m.cols
-    y = [0] * k
-    gens_y: list[list[int]] = []
-    for j in range(k):
-        dj = d[j, j] if j < m.rows else 0
-        if j >= m.rows or dj == 0:
-            if j < m.rows and c[j] % modulus != 0:
-                return None
-            gens_y.append([1 if t == j else 0 for t in range(k)])
-            continue
-        g = math.gcd(dj, modulus)
-        if c[j] % g != 0:
-            return None
-        step = modulus // g
-        if step > 1:
-            inv = pow((dj // g) % step, -1, step)
-            y[j] = ((c[j] // g) * inv) % step
-        if step < modulus:
-            # y_j is only pinned modulo step
-            gens_y.append([step if t == j else 0 for t in range(k)])
-    for i in range(k, m.rows):
-        if c[i] % modulus != 0:
-            return None
-    x = tuple(t % modulus for t in mat_vec(v, y))
-    gens_x = tuple(tuple(t % modulus for t in mat_vec(v, g)) for g in gens_y)
-    return ModSolution(modulus, x, gens_x)

@@ -29,7 +29,6 @@ from .intlinalg import (
     right_kernel_matrix,
     saturation,
     smith_normal_form,
-    solve_rational,
 )
 from .kummer import Point, char_eval
 
@@ -195,19 +194,14 @@ def quotient_map(s: Subtorus) -> tuple[IntMatrix, int]:
 
 
 def restrict_endomorphism(a: IntMatrix, s: Subtorus) -> IntMatrix | None:
-    """Matrix of x -> x^a on s in cochar coordinates, or None when a does not preserve s."""
-    v = s.cochar_basis
-    k = v.cols
-    av = a * v
-    cols = []
-    for j in range(k):
-        sol = solve_rational(v, av.col(j))
-        if sol is None:
-            return None
-        # saturation of the cochar lattice makes a rational solution integral
-        assert all(c.denominator == 1 for c in sol)
-        cols.append([c.numerator for c in sol])
-    return IntMatrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)], k)
+    """Matrix of x -> x^a on s in cochar coordinates, or None when a does not preserve s.
+
+    The cochar basis V has full column rank and a saturated column lattice, so
+    when a*V = V*B has a solution it is unique and integral, and W*V = I gives B = W*a*V.
+    """
+    av = a * s.cochar_basis
+    b = s._cochar_left_inverse * av
+    return b if s.cochar_basis * b == av else None
 
 
 @dataclass(frozen=True)

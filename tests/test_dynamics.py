@@ -33,7 +33,7 @@ from torusdyn.kummer import KummerNumber, char_eval, from_layers, one_point, par
 from torusdyn.polyalg import IntPoly
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
-from conftest import rand_point, rand_unipotent_automorphism
+from conftest import rand_point, rand_unimodular_pair, rand_unipotent_automorphism
 
 EX_WILD = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))
 EX_SHEAR = AffineMonomialMap.build([[1, 1], [0, 1]], parse_point(["1", "3"]))
@@ -191,6 +191,41 @@ def test_periodic_torsion_points_examples():
         periodic_torsion_points(IntMatrix.from_rows([[2]]), 4)
 
 
+def reference_periodic(a2, d, budget):
+    """Each point of (Z/d)^k with its period found by sequential exact applies."""
+    phi = AffineMonomialMap(a2, one_point(a2.rows))
+    out = []
+    for u in itertools.islice(itertools.product(range(d), repeat=a2.rows), budget):
+        point = cur = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
+        period = 0
+        while period == 0 or cur != point:
+            cur = phi.apply(cur)
+            period += 1
+        out.append((point, period))
+    return out
+
+
+def test_periodic_points_verified_once_each(monkeypatch):
+    calls = []
+
+    def counting(m, x):
+        calls.append(m)
+        return monomial_image(m, x)
+
+    monkeypatch.setattr(dynamics, "monomial_image", counting)
+    cases = [
+        (IntMatrix.from_rows([[2]]), [d for d in range(1, 51) if d % 2 == 1]),
+        (IntMatrix.from_rows([[2, 1], [1, 1]]), range(1, 51)),
+        (IntMatrix.from_rows([[3, 0], [1, 2]]), [d for d in range(1, 51) if d % 6 in (1, 5)]),
+    ]
+    for a2, ds in cases:
+        for d in ds:
+            calls.clear()
+            emitted = periodic_torsion_points(a2, d, budget=64)
+            assert len(calls) == len(emitted)
+            assert emitted == reference_periodic(a2, d, 64), (a2, d)
+
+
 def test_residue_vectors_match_product():
     for d in (1, 2, 5):
         for k in range(4):
@@ -329,6 +364,40 @@ def test_preimage_round_trip(m, data):
 
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# degree-one blocks (finite order or unipotent) and one expanding block, for maps whose A^l - I has a kernel
+_BLOCKS = [[[1]], [[-1]], [[2]], [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, 1], [0, 1]]]
+
+
+def test_fixed_character_lattice_brute_force():
+    rng = random.Random(331)
+    proper = 0  # (map, l) where chi_b(gamma_l) = 1 cuts a nonzero lattice below the kernel of A^l - I
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = [[0] * n for _ in range(n)]
+        i = 0
+        while i < n:
+            block = rng.choice([b for b in _BLOCKS if len(b) <= n - i])
+            for r, brow in enumerate(block):
+                rows[i + r][i : i + len(brow)] = brow
+            i += len(block)
+        w, winv = rand_unimodular_pair(rng, n, shears=3)
+        a = w * IntMatrix.from_rows(rows) * winv
+        phi = AffineMonomialMap(a, rand_point(rng, n, torsion_orders=tuple(range(1, 13)), denoms=(1, 1, 2, 3)))
+        for ell in (1, 2, 3, 4, 6, 12):
+            lat = _fixed_character_lattice(phi, ell)
+            fixed = (a**ell - IntMatrix.identity(n)).to_rows()
+            gamma = phi.iterate(ell).translation
+            kernel = members = 0
+            for b in itertools.product(range(-3, 4), repeat=n):
+                in_kernel = not any(sum(x * row[j] for x, row in zip(b, fixed)) for j in range(n))
+                invariant = in_kernel and char_eval(gamma, b).is_one()
+                assert lat.contains(b) == invariant, (a.to_rows(), phi.translation, ell, b)
+                kernel += in_kernel
+                members += invariant
+            proper += 1 < members < kernel
+    assert proper >= 10
+
 
 # _fixed_character_lattice bases at each iterate, as computed before the
 # lattice was read off exponent layers: fixtures, then degree-one maps with

@@ -22,7 +22,6 @@ from torusdyn.intlinalg import (
     right_kernel_matrix,
     saturation,
     smith_normal_form,
-    solve_mod,
     solve_rational,
     vec_mat,
 )
@@ -305,38 +304,14 @@ def test_solve_rational():
         assert mat_vec(m, sol) == tuple(b)
 
 
-def test_solve_mod_example_and_brute():
-    sol = solve_mod(IntMatrix.from_rows([[2]]), [1], 5)
-    assert sol.particular == (3,) and sol.kernel_gens == ()
-    rng = random.Random(207)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-        d = rng.choice([2, 3, 4, 5, 6, 8, 9, 12])
-        m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
-        b = [rng.randint(-5, 5) for _ in range(rows)]
-        sol = solve_mod(m, b, d)
-        brute = {
-            x
-            for x in itertools.product(range(d), repeat=cols)
-            if all(v % d == bb % d for v, bb in zip(mat_vec(m, x), b))
-        }
-        if sol is None:
-            assert not brute
-        else:
-            spanned = set()
-            coeff_ranges = itertools.product(range(d), repeat=len(sol.kernel_gens))
-            for coeffs in coeff_ranges:
-                v = list(sol.particular)
-                for c, g in zip(coeffs, sol.kernel_gens):
-                    v = [(a + c * gg) % d for a, gg in zip(v, g)]
-                spanned.add(tuple(v))
-            assert spanned == brute
-
-
 def test_matrix_basics():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert (m**0).entries == IntMatrix.identity(2).entries
     assert (m**3).entries == (m * m * m).entries
+    # three-argument pow reduces as it goes, and agrees with reducing the power
+    for k in range(6):
+        for d in (1, 2, 7, 10):
+            assert pow(m, k, d) == (m**k).mod(d)
     assert m.transpose().to_rows() == [[1, 3], [2, 4]]
     assert m.det() == -2
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """The benchmark's tracer patches torusdyn functions by name: every name must
 still resolve, and classify must still reach the stages through those names."""
 
+import doctest
 import importlib
 from collections import Counter
 from pathlib import Path
 
-from torusdyn import dynamics, oracle
+from torusdyn import dynamics, kummer, oracle, polyalg
 from torusdyn.cli import load_map_spec
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -49,3 +50,9 @@ def test_classify_reaches_the_traced_stages(monkeypatch):
     report = dynamics.classify(phi)
     assert report.density is not None and report.density.not_contained
     assert all(calls[name] >= 1 for _, name in STAGES), dict(calls)
+
+
+def test_docstring_examples_run():
+    for module in (kummer, polyalg):
+        result = doctest.testmod(module)
+        assert result.failed == 0 and result.attempted > 0, (module.__name__, result)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torusdyn.intlinalg import IntMatrix, Lattice, rational_rank
+from torusdyn.intlinalg import IntMatrix, Lattice, rational_rank, solve_rational
 from torusdyn.kummer import one_point, parse_point
 from torusdyn.torus import (
     AffineMonomialMap,
@@ -18,7 +18,7 @@ from torusdyn.torus import (
     restrict_endomorphism,
 )
 
-from conftest import rand_invertible, rand_map, rand_point
+from conftest import rand_invertible, rand_map, rand_point, rand_unimodular_pair
 
 
 def test_apply_examples():
@@ -120,6 +120,44 @@ def test_restrict_endomorphism_examples():
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert restrict_endomorphism(swap, e1) is None
     assert restrict_endomorphism(swap, Subtorus.full(2)).entries == swap.entries
+
+
+def reference_restrict(a, s):
+    """restrict_endomorphism as one rational solve V*x = (a*V)_j per cochar column j."""
+    v = s.cochar_basis
+    av = a * v
+    cols = []
+    for j in range(v.cols):
+        sol = solve_rational(v, av.col(j))
+        if sol is None:
+            return None
+        assert all(c.denominator == 1 for c in sol)
+        cols.append([c.numerator for c in sol])
+    return IntMatrix.from_rows([[cols[j][i] for j in range(v.cols)] for i in range(v.cols)], v.cols)
+
+
+def test_restrict_endomorphism_matches_rational_solve():
+    rng = random.Random(404)
+    kept = refused = 0
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        # block upper-triangular, so conjugated by w it preserves the span of w's first k columns
+        upper = IntMatrix.zeros(n, n)
+        while not upper.det():
+            upper = IntMatrix.from_rows([[0 if j < k <= i else rng.randint(-3, 3) for j in range(n)] for i in range(n)])
+        w, winv = rand_unimodular_pair(rng, n)
+        a = w * upper * winv
+        first = Subtorus.from_cochar_columns(IntMatrix.from_rows([row[:k] for row in w.to_rows()], k))
+        cols = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)], k)
+        for s in (first, Subtorus.from_cochar_columns(cols), image_subtorus(a - IntMatrix.identity(n))):
+            got = reference_restrict(a, s)
+            assert restrict_endomorphism(a, s) == got
+            kept += got is not None and 0 < s.dim < n
+            refused += got is None
+        assert restrict_endomorphism(a, Subtorus.full(n)) == a
+        assert restrict_endomorphism(a, Subtorus.trivial(n)) == IntMatrix.zeros(0, 0)
+    assert kept >= 80 and refused >= 20
 
 
 def test_restriction_commutes_with_embedding():
