@@ -12,7 +12,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OracleError, PreconditionError
 from .intlinalg import (
@@ -408,56 +409,84 @@ def _monomial_steps(monos: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     return steps
 
 
-def _rank_mod(rows: list[list[int]], q: int) -> int:
+def _rank_mod(rows: Iterable[Sequence[int]], q: int) -> int:
     """Rank modulo the prime q by row echelon reduction, one row at a time.
 
-    Each incoming row is reduced against the pivot rows found so far; the scan
-    stops as soon as the rank equals the column count.  A row's entries are
-    reduced mod q only where they are read: each elimination step adds less
-    than q^2 to an entry, so the unreduced entries stay small.
+    Rows may come from any iterable; none is pulled once the rank equals the
+    column count.  Each row is packed into one integer, column j in the j-th
+    slot of w = 2 * bitlen(q) + bitlen(ncols) + 1 bits, entries reduced into
+    [0, q).  With x the lowest slot mod q, column j is cleared by adding
+    (q - x) times the pivot row of column j (packed from column j on, scaled
+    to 1 there), which makes the lowest slot a multiple of q; that slot is
+    then shifted off.  No slot can carry into the next: it starts below q and
+    takes at most ncols additions, each below q^2, so it stays below
+    (ncols + 1) * q^2 < 2^(w - 1).  A row that meets a column without a pivot
+    has its remaining slots reduced and scaled into the new pivot.
     """
-    ncols = len(rows[0]) if rows else 0
-    pivots: dict[int, list[int]] = {}  # pivot column j -> row[j:] mod q, scaled to 1 at j
+    pivots: list[int | None] = []  # column j -> packed row[j:] mod q, scaled to 1 at j
+    rank = 0
     for row in rows:
-        if len(pivots) == ncols:
-            break
-        r = list(row)
-        for j in range(ncols):
-            x = r[j] % q
-            if not x:
-                continue
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(x, -1, q)
-                pivots[j] = [y * inv % q for y in r[j:]]
+        if not pivots:
+            ncols = len(row)
+            if not ncols:
                 break
-            r[j:] = [a - x * b for a, b in zip(r[j:], piv)]
-    return len(pivots)
+            w = 2 * q.bit_length() + ncols.bit_length() + 1
+            mask = (1 << w) - 1
+            pivots = [None] * ncols
+        r = 0
+        for v in reversed(row):
+            r = r << w | v % q
+        for j in range(ncols):
+            x = (r & mask) % q
+            if x:
+                piv = pivots[j]
+                if piv is None:
+                    inv = pow(x, -1, q)
+                    slots = []
+                    for _ in range(j, ncols):
+                        slots.append((r & mask) * inv % q)
+                        r >>= w
+                    piv = 0
+                    for v in reversed(slots):
+                        piv = piv << w | v
+                    pivots[j] = piv
+                    rank += 1
+                    break
+                r += (q - x) * piv
+            r >>= w
+        if rank == ncols:
+            break
+    return rank
 
 
 def _evaluation_rows(
     den: int, primes: tuple[int, ...], points: list[PointLayers], steps: list[tuple[int, int]], emb: ModularEmbedding
-) -> list[list[int]]:
+) -> Iterator[list[int]]:
     """The embedded monomial values at each layered point, columns in _monomials order.
 
     A coordinate with torsion t and prime exponents e_p (all over den) embeds
-    as g^((t * (q - 1) + sum_p e_p * log_p) / den).
+    as g^((t * (q - 1) + sum_p e_p * log_p) / den).  The divisibility of every
+    coordinate of every point is asserted before this returns; the rows
+    themselves (n powers and one product per monomial each) are built only as
+    the caller reads them.
     """
     q, g = emb.prime, emb.generator
     logs = dict(emb.prime_logs)
     weights = [q - 1] + [logs.get(p, 0) for p in primes]  # a prime missing from logs has zero exponents
-    rows = []
+    exponents = []
     for layers in points:
-        xs = []
-        for column in zip(*layers):
-            num = sum(w * v for w, v in zip(weights, column))
-            assert num % den == 0
-            xs.append(pow(g, num // den % (q - 1), q))
-        row = [1]
+        nums = [sum(map(mul, weights, column)) for column in zip(*layers)]
+        assert not any(num % den for num in nums)
+        exponents.append([num // den % (q - 1) for num in nums])
+
+    def row(es: list[int]) -> list[int]:
+        xs = [pow(g, e, q) for e in es]
+        out = [1]
         for parent, j in steps:
-            row.append(row[parent] * xs[j] % q)
-        rows.append(row)
-    return rows
+            out.append(out[parent] * xs[j] % q)
+        return out
+
+    return map(row, exponents)
 
 
 def hypersurface_containment(
@@ -478,7 +507,11 @@ def hypersurface_containment(
     coordinate.  The embedding is a homomorphism on the group the
     coordinates generate (every discrete log is divisible by the exponent
     denominators it meets), so the entries equal the embedded monomial
-    values.  The rank computation stops at full column rank.
+    values.  Every point's exponents are checked against that divisibility
+    up front, but a row is only built when the packed elimination of
+    :func:`_rank_mod` pulls it, and it pulls none past full column rank
+    (often little more than one row per monomial).  The rank, and so the
+    result, does not depend on how many rows are read.
     """
     den, primes, layers = sample
     if not layers:

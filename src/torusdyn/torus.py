@@ -85,15 +85,23 @@ class AffineMonomialMap:
         return AffineMonomialMap(self.matrix * inner.matrix, gamma)
 
     def iterate(self, k: int) -> AffineMonomialMap:
-        """The k-th iterate; its translation is gamma * gamma^A * ... * gamma^(A^(k-1))."""
+        """The k-th iterate; its translation is gamma * gamma^A * ... * gamma^(A^(k-1)).
+
+        Computed by repeated squaring through :meth:`compose`, so it takes
+        O(log k) compositions; iterates of one map commute, so the order in
+        which the binary digits are combined does not matter.
+        """
         if k < 1:
             raise ValueError("iterate count must be >= 1")
-        acc = self.translation
-        cur = self.translation
-        for _ in range(k - 1):
-            cur = monomial_image(self.matrix, cur)
-            acc = tuple(a * c for a, c in zip(acc, cur))
-        return AffineMonomialMap(self.matrix**k, acc)
+        result = None
+        square = self
+        while True:
+            if k & 1:
+                result = square if result is None else square.compose(result)
+            k >>= 1
+            if not k:
+                return result
+            square = square.compose(square)
 
     def orbit(self, x: Point, n: int) -> list[Point]:
         """The first n points x, phi(x), ..., phi^(n-1)(x)."""

@@ -13,6 +13,7 @@ from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
 from torusdyn.kummer import char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
+    ModularEmbedding,
     _discrete_logs,
     _evaluation_rows,
     _generator_mod,
@@ -275,6 +276,60 @@ def test_rank_mod_matches_gauss_jordan(rows_and_q):
     assert _rank_mod(rows, q) == gauss_jordan_rank(rows, q)
 
 
+@pytest.mark.parametrize("q", (3, 1000003, 2**31 - 1, 2**61 - 1))
+def test_packed_rank_mod_matches_gauss_jordan_wide(q):
+    # wide rows and 62-bit primes, where the packed slots are widest; the sum
+    # of a triangular block of q - 1 above a unit diagonal meets x = 1 at
+    # every pivot, so each elimination step adds (q - 1)^2 to every slot
+    rng = random.Random(q)
+    cases = []
+    for ncols in (1, 2, 17, 64, 120):
+        k = rng.randint(0, ncols)
+        left = [[rng.randint(-2 * q, 2 * q) for _ in range(k)] for _ in range(ncols + 3)]
+        right = [[rng.randint(-2 * q, 2 * q) for _ in range(ncols)] for _ in range(k)]
+        cases.append([[sum(a * r[j] for a, r in zip(row, right)) for j in range(ncols)] for row in left])
+        cases.append([[rng.randint(-3 * q, 3 * q) for _ in range(ncols)] for _ in range(ncols)])
+        cases.append([[q - 1] * ncols for _ in range(4)])
+        triangle = [[0] * i + [1] + [q - 1] * (ncols - i - 1) for i in range(ncols - 1)]
+        cases.append(triangle + [[sum(col) % q for col in zip(*triangle)]])
+        cases.append(triangle + [[1] * ncols, [q - 1] * ncols])
+    for rows in cases:
+        assert _rank_mod(rows, q) == gauss_jordan_rank(rows, q), (q, len(rows[0]))
+
+
+def test_rank_mod_stops_pulling_rows_at_full_rank():
+    q, ncols = 1000003, 30
+    rng = random.Random(1)
+    rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(ncols)]
+    assert gauss_jordan_rank(rows, q) == ncols
+
+    def pulled():
+        yield from rows
+        raise AssertionError("row pulled past full rank")
+
+    assert _rank_mod(pulled(), q) == ncols
+
+
+def test_evaluation_rows_check_points_they_never_read():
+    # 25 orbit points with integer exponents and a last one carrying sqrt(3);
+    # raising the log of 3 by one keeps every exponent sum but the last
+    # divisible by den = 2, and the first points alone already give full rank
+    phi = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))
+    points = orbit_sample(phi, one_point(2), 25) + [parse_point(["3^(1/2)", "1"])]
+    den, primes, layers = layers_of(points)
+    assert den == 2
+    monos = _monomials(2, 3)
+    steps = _monomial_steps(monos)
+    emb, _ = build_embedding(*layer_orders(den, primes, layers), random.Random(0))
+    assert _rank_mod(_evaluation_rows(den, primes, layers, steps, emb), emb.prime) == len(monos)
+    off = ModularEmbedding(
+        emb.prime, emb.generator, emb.torsion_lcm, tuple((p, lg + (p == 3)) for p, lg in emb.prime_logs)
+    )
+    assert _rank_mod(_evaluation_rows(den, primes, layers[:-1], steps, off), off.prime) == len(monos)
+    with pytest.raises(AssertionError):
+        _rank_mod(_evaluation_rows(den, primes, layers, steps, off), off.prime)
+
+
 def _containment_inputs():
     """(name, points, degree bound, seed): each fixture's orbit, and the family
     samples of the two dense fixtures."""
@@ -317,7 +372,7 @@ def test_evaluation_rows_match_embedded_characters():
         monos = _monomials(len(points[0]), degree)
         emb, _ = build_embedding(*needs, random.Random(seed))
         ref = [[emb.embed(char_eval(p, m)) for m in monos] for p in moved]
-        assert _evaluation_rows(den, primes, moved_layers, _monomial_steps(monos), emb) == ref, name
+        assert list(_evaluation_rows(den, primes, moved_layers, _monomial_steps(monos), emb)) == ref, name
 
 
 def test_containment_pinned_certificates():
