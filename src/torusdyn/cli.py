@@ -66,6 +66,11 @@ class MapSpec:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int in Python, but `true` is not a number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_map_spec(path: str) -> MapSpec:
     try:
         text = Path(path).read_text()
@@ -81,7 +86,7 @@ def load_map_spec(path: str) -> MapSpec:
     gamma = doc["gamma"]
     if (
         not isinstance(matrix, list)
-        or not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in matrix)
+        or not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in matrix)
     ):
         raise ParseError("'matrix' must be a nested list of integers")
     if not isinstance(gamma, list) or not all(isinstance(g, str) for g in gamma):
@@ -95,7 +100,7 @@ def load_map_spec(path: str) -> MapSpec:
         want = _OPTION_FIELDS.get(key)
         if want is None:
             raise ParseError(f"unknown option {key!r}")
-        if not isinstance(val, want):
+        if not (_is_int(val) if want is int else isinstance(val, want)):
             raise ParseError(f"option {key!r} must be {want.__name__}")
         if want is int and val <= 0:
             raise ParseError(f"option {key!r} must be positive")

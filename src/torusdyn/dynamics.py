@@ -13,14 +13,15 @@ under exact coset images.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import OracleError, PreconditionError
 from .intlinalg import (
     IntMatrix,
     Lattice,
@@ -85,7 +86,7 @@ def dynamical_degree(phi: AffineMonomialMap, rel_tol: Fraction = Fraction(1, 100
     """Decide the dynamical degree: exactly 1, or a certified interval above 1.
 
     The exact branch never consults numerics; the interval branch tightens the
-    tolerance until the lower bound clears 1 (two retries, then an error).
+    tolerance until the lower bound clears 1 (two retries, then an OracleError).
     """
     qu = quasi_unipotence(minpoly(phi.matrix))
     if qu is not None:
@@ -97,7 +98,7 @@ def dynamical_degree(phi: AffineMonomialMap, rel_tol: Fraction = Fraction(1, 100
         if lo > 1:
             return DynamicalDegree(False, None, (lo, hi))
         tol /= 100
-    raise ArithmeticError("failed to separate the spectral radius from 1")
+    raise OracleError("failed to separate the spectral radius from 1")
 
 
 # -- invariant fibrations -------------------------------------------------------
@@ -377,9 +378,13 @@ def _residue_vectors(d: int, k: int) -> Iterator[tuple[int, ...]]:
 def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tuple[Point, int]]:
     """Torsion points of order dividing d with their exact periods under x -> x^a2.
 
-    Requires gcd(d, |det a2|) = 1 so every such point is periodic.  Each
+    Requires gcd(d, |det a2|) = 1 so every such point is periodic, and the
+    points returned are the first ``budget`` of (Z/d)^k.  Each cycle is
+    walked once: its length is recorded for those of its points that are
+    among them, and a later point of the same cycle reads it back.  Each
     returned pair is re-verified exactly, by one monomial image under
-    a2^period mod d (which acts on points of order dividing d as a2^period does).
+    a2^period mod d (which acts on points of order dividing d as a2^period
+    does).
     """
     if a2.rows != a2.cols:
         raise PreconditionError("endomorphism matrix must be square")
@@ -389,10 +394,15 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
         raise PreconditionError(f"torsion order {d} shares a factor with |det| = {abs(a2.det())}")
     rows = a2.to_rows()
     out: list[tuple[Point, int]] = []
-    for u in _residue_vectors(d, a2.rows):
-        if len(out) >= budget:
-            break
-        period = len(_cycle(rows, d, u))
+    vectors = list(itertools.islice(_residue_vectors(d, a2.rows), budget))
+    wanted = set(vectors)
+    periods: dict[tuple[int, ...], int] = {}  # the cycle length of each wanted point on a walked cycle
+    for u in vectors:
+        period = periods.get(u)
+        if period is None:
+            orbit = _cycle(rows, d, u)
+            period = len(orbit)
+            periods.update(dict.fromkeys(wanted.intersection(orbit), period))
         point = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
         assert monomial_image(pow(a2, period, d), point) == point, "period verification failed"
         out.append((point, period))
@@ -418,14 +428,16 @@ class CosetFamily:
     layers: tuple[int, tuple[int, ...], list[PointLayers]] = field(compare=False, repr=False)
 
 
-def _torsion_orbits_exact_order(a2: IntMatrix, d: int) -> Iterator[list[tuple[int, ...]]]:
+def _torsion_orbits_exact_order(a2: IntMatrix, d: int, vectors: Iterable | None = None) -> Iterator[list[tuple]]:
     """Orbits of u -> a2*u on (Z/d)^k restricted to elements of exact order d.
 
+    The orbits start from ``vectors`` in turn (all of (Z/d)^k in lexicographic
+    order by default), skipping those of a lower order or already visited.
     Lazy, so a caller that stops early never enumerates the rest of (Z/d)^k.
     """
     rows = a2.to_rows()
     seen: set[tuple[int, ...]] = set()
-    for u in _residue_vectors(d, a2.rows):
+    for u in _residue_vectors(d, a2.rows) if vectors is None else vectors:
         if u in seen or math.gcd(math.gcd(*u), d) != 1:
             continue
         orbit = _cycle(rows, d, u)
@@ -454,34 +466,30 @@ def _lowest_terms(den: int, t: list[int]) -> tuple[int, tuple[int, ...]]:
     return (den // g, tuple(v // g for v in t))
 
 
-def invariant_family(
-    phi: AffineMonomialMap, budget: int, torsion_cap: int = 50
-) -> list[CosetFamily]:
-    """Generate invariant coset families for a degree->1 map.
+def _cycle_source(phi: AffineMonomialMap) -> tuple[Decomposition, Callable]:
+    """phi's decomposition, and a generator of its coset cycles from torsion orbits.
 
-    Each torsion-point orbit of the hyperbolic factor transports to a cycle
-    of translates of the unipotent subtorus x1.  phi carries x1 onto itself
-    (checked once here), so the image of a coset is x1 translated by the
-    image of its base, and the cycle is the orbit of the base on the exponent
-    layers.  It closes when the base's projection to T/x1 (its character
-    values under x1's annihilator basis) returns, which certifies invariance
-    of the union; the same projections, as rational values, identify the
-    cycle for deduplication.  Families are emitted by increasing torsion
-    order until the budget is met.
+    ``cycles(d, orbits)`` transports each orbit of exact-order-d torsion points
+    of the hyperbolic factor to a cycle of translates of the unipotent
+    subtorus x1, and yields it with True; when an earlier orbit of the same
+    source gave the same cycle, it yields that earlier family with False.
+    phi carries x1 onto itself (checked once here), so the image of a coset
+    is x1 translated by the image of its base, and the cycle is the orbit of
+    the base on the exponent layers.  It closes when the base's projection
+    to T/x1 (its character values under x1's annihilator basis) returns,
+    which certifies invariance of the union; the same projections, as
+    rational values, identify the cycle for deduplication.
 
     Every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit
     point u, so every orbit shares the prime layers of its k-th step.  That
-    trajectory is built once per call; each orbit steps only its torsion layer.
-    Its projection to T/x1 is the fixed point of the map induced there (no
-    eigenvalue on T/x1 is a root of unity), so it is checked once, on the
+    trajectory is built once per source; each orbit steps only its torsion
+    layer.  Its projection to T/x1 is the fixed point of the map induced there
+    (no eigenvalue on T/x1 is a root of unity), so it is checked once, on the
     first step, and cycles close and dedupe on their torsion projections.
     """
-    if budget <= 0:
-        return []
     dec = decompose(phi)
     if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
         raise AssertionError("the unipotent subtorus is not invariant under the map")
-    det2 = abs(dec.a2.det())
     den_b, primes, ((beta_t, *beta_e), (gamma_t, *gamma_e)) = layers_of(
         (tuple(c.inverse() for c in dec.beta2_embedded), phi.translation)
     )
@@ -509,19 +517,15 @@ def invariant_family(
     if project(exps[0]) != project(exps[1]):
         raise AssertionError("the shared prime layers do not project to a fixed point of T/x1")
 
-    families: list[CosetFamily] = []
-    seen: set = set()
-    for d in range(1, torsion_cap + 1):
-        if len(families) >= budget:
-            break
-        if math.gcd(d, det2) != 1:
-            continue
+    built: dict[frozenset, CosetFamily] = {}
+
+    def cycles(d: int, orbits: Iterable[list[tuple[int, ...]]]) -> Iterator[tuple[CosetFamily, bool]]:
         den = math.lcm(den_b, d)
         s = den // den_b
         beta, gamma = [v * s for v in beta_t], [v * s for v in gamma_t]
         v2d = [[a * (den // d) for a in row] for row in v2]  # torsion layer of x2.embed(u / d): v2d * u
         fractions: dict[int, Fraction] = {}  # torsion Fractions over den
-        for orbit in _torsion_orbits_exact_order(dec.a2, d):
+        for orbit in orbits:
             cur = [(sum(map(mul, row, orbit[0])) + b) % den for row, b in zip(v2d, beta)]
             tors, projections = [], []
             max_cycle = dec.normalize_iterate * len(orbit) + 1
@@ -536,15 +540,37 @@ def invariant_family(
                 cur = _torsion_step(rows, den, cur, gamma)
             # the torsion projection in lowest terms is its rational values, whatever d is
             key = frozenset(_lowest_terms(den, t) for t in projections)
-            if key in seen:
+            if key in built:
+                yield built[key], False
                 continue
-            seen.add(key)
             reach(len(tors) - 1)
             cycle = tuple(Coset(from_parts(den, t, p, fractions), dec.x1) for t, p in zip(tors, parts))
             bases = [[t] + [[v * s for v in layer] for layer in e] for t, e in zip(tors, exps)]
-            families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))
-            if len(families) >= budget:
-                break
+            built[key] = CosetFamily(d, tuple(orbit), cycle, (den, primes, bases))
+            yield built[key], True
+
+    return dec, cycles
+
+
+def invariant_family(
+    phi: AffineMonomialMap, budget: int, torsion_cap: int = 50, source=None
+) -> list[CosetFamily]:
+    """Generate invariant coset families for a degree->1 map.
+
+    The cycles of :func:`_cycle_source` (``source``, or a fresh one), by
+    increasing torsion order and lexicographic orbit, until the budget is met.
+    """
+    if budget <= 0:
+        return []
+    dec, cycles = source or _cycle_source(phi)
+    det2 = abs(dec.a2.det())
+    families: list[CosetFamily] = []
+    for d in range(1, torsion_cap + 1):
+        if len(families) >= budget:
+            break
+        if math.gcd(d, det2) == 1:
+            new = (fam for fam, fresh in cycles(d, _torsion_orbits_exact_order(dec.a2, d)) if fresh)
+            families += itertools.islice(new, budget - len(families))
     return families
 
 
@@ -640,9 +666,76 @@ class ClassificationReport:
     flags: tuple[str, ...]
 
 
+# The most residue vectors drawn for the cycles of a redrawn density sample.
+GRID_DRAWS = 4096
+
+
+def degenerate_sample(sample: tuple[int, tuple[int, ...], list[PointLayers]], degree_bound: int) -> bool:
+    """Whether some coordinate takes at most ``degree_bound`` distinct values on the layered sample.
+
+    Then prod_c (x_i - c) over those values vanishes on every point; it is
+    monic in x_i, so every prime of the density test would report a rank
+    deficit.  A value is the coordinate's column of layers, torsion reduced
+    mod den as the samplers give it.  An empty sample is not degenerate.
+    """
+    layers = sample[2]
+    seen = [set() for _ in layers[0][0]] if layers else []
+    for x in layers:
+        for values, v in zip(seen, zip(*x)):
+            values.add(v)
+        if all(len(values) > degree_bound for values in seen):
+            return False
+    return bool(layers)
+
+
+def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tuple[CosetFamily, bool]]:
+    """Distinct cycles of the least torsion order d > D' coprime to det a2, each
+    with its freshness flag, until they hold point_budget cosets or number
+    family_budget; empty when d > torsion_cap.
+
+    D' is the degree bound, times the largest absolute row sum of x2's cochar
+    basis when x1 is not trivial: no nonzero polynomial of degree <= D' < d in
+    each variable vanishes on the grid mu_d^k (Combinatorial Nullstellensatz).
+    The orbits start from at most GRID_DRAWS residue vectors drawn with
+    Random(seed), not in lexicographic order.
+    """
+    bound = config.degree_bound
+    if dec.x1.dim:
+        bound *= max(sum(map(abs, row)) for row in dec.x2.cochar_basis.to_rows())
+    det2 = abs(dec.a2.det())
+    d = next(d for d in itertools.count(bound + 1) if math.gcd(d, det2) == 1)
+    if d > config.torsion_cap:
+        return []
+    rng = random.Random(config.seed)
+    vectors = (tuple(rng.randrange(d) for _ in range(dec.a2.rows)) for _ in range(GRID_DRAWS))
+    taken: dict[int, tuple[CosetFamily, bool]] = {}  # by id: two orbits can give one cycle
+    for fam, fresh in cycles(d, _torsion_orbits_exact_order(dec.a2, d, vectors)):
+        taken.setdefault(id(fam), (fam, fresh))
+        cosets = sum(len(f.cycle) for f, _ in taken.values())
+        if len(taken) >= config.family_budget or cosets >= config.point_budget:
+            break
+    return list(taken.values())
+
+
 def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig):
-    families = invariant_family(phi, config.family_budget, config.torsion_cap)
+    """The invariant family and its density certificate.
+
+    The oracle never runs on a degenerate sample: that sample is redrawn from
+    grid cycles, the new ones appended to the family, and when none exist or
+    their sample is degenerate too, the result is UNDECIDED with no prime tried.
+    """
+    source = _cycle_source(phi)
+    families = invariant_family(phi, config.family_budget, config.torsion_cap, source)
     pts = sample_family_points(families, config.seed, cap=config.point_budget)
+    if degenerate_sample(pts, config.degree_bound):
+        grid = _grid_cycles(*source, config)
+        if grid:
+            families += [fam for fam, fresh in grid if fresh]
+            pts = sample_family_points([fam for fam, _ in grid], config.seed, cap=config.point_budget)
+        if not grid or degenerate_sample(pts, config.degree_bound):
+            count = math.comb(phi.dim + config.degree_bound, phi.dim)
+            undecided = oracle.ContainmentResult("UNDECIDED", config.degree_bound, len(pts[2]), count, None, None, 0)
+            return tuple(families), undecided
     density = oracle.hypersurface_containment(
         pts, config.degree_bound, seed=config.seed, retries=config.retries
     )

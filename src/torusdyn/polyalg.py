@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import OracleError
 from .kummer import factorize
 
 
@@ -281,6 +282,6 @@ def spectral_radius(p: IntPoly, rel_tol) -> tuple[Fraction, Fraction]:
         if hi - lo <= tol * hi:
             return (lo, hi)
         if k >= _MAX_GRAEFFE:
-            raise ArithmeticError(f"rel_tol {rel_tol} unreachable within {_MAX_GRAEFFE} Graeffe steps")
+            raise OracleError(f"rel_tol {rel_tol} unreachable within {_MAX_GRAEFFE} Graeffe steps")
         q = _graeffe_step(q)
         k += 1

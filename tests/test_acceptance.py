@@ -14,6 +14,7 @@ from torusdyn.dynamics import (
     classify,
     ClassifyConfig,
     decompose,
+    degenerate_sample,
     find_invariant_fibration,
     invariant_family,
     periodic_torsion_points,
@@ -158,6 +159,22 @@ def test_criterion_4_dense_invariant_families():
             assert retry.not_contained, f"map {i}: UNDECIDED persisted across reseed"
     assert undecided <= 5
     _report(4, f"100 maps x 25 verified invariant coset cycles; UNDECIDED rate {undecided}/100")
+
+
+def test_probe_maps_with_an_order_3_first_sample_are_certified():
+    """The cheapest maps of the n = 5, 6 probe whose first sample lies on x_i^3 = 1."""
+    probe = {}
+    for n in (5, 6):
+        rng = random.Random(900 + n)
+        for i in range(6):
+            probe[n, i] = _random_expanding_map(rng, n)
+    for n, i in ((5, 2), (5, 0), (6, 0)):
+        phi = probe[n, i]
+        fams = invariant_family(phi, 40)
+        assert degenerate_sample(sample_family_points(fams, seed=i), 3), (n, i)
+        report = classify(phi, ClassifyConfig(seed=i))
+        assert report.density.not_contained, (n, i)
+        assert report.density.rank == math.comb(n + 3, 3)
 
 
 DECOMPOSABLE_FIXTURES = [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from torusdyn import polyalg
 from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main
 from torusdyn.kummer import PRINT_DIGIT_LIMIT, parse_point
 
@@ -145,6 +146,54 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["classify", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"matrix": [[True, 0], [0, 1]], "gamma": ["2", "3"]},
+        {"matrix": [[2, 1], [1, False]], "gamma": ["1", "1"]},
+        {"matrix": [[2, 1], [1, 1]], "gamma": ["1", "1"], "options": {"seed": True}},
+        {"matrix": [[2, 1], [1, 1]], "gamma": ["1", "1"], "options": {"family_budget": True}},
+    ],
+    ids=["matrix-true", "matrix-false", "option-seed", "option-family-budget"],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, doc):
+    assert main(["classify", _write_spec(tmp_path, doc)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_graeffe_cap_exits_4_with_a_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polyalg, "_MAX_GRAEFFE", 1)
+    rc = main(["classify", _write_spec(tmp_path, DENSE), "--json"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Graeffe" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "matrix, gamma",
+    [
+        ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], ["3", "5", "7", "11"]),
+        (
+            [
+                [3, -3, -3, -3, 3, -2],
+                [3, 2, -1, -2, 2, -2],
+                [1, -2, 1, -3, 1, -2],
+                [-3, -1, 2, -1, 1, 2],
+                [2, -1, 3, -1, 0, -1],
+                [3, -2, -3, 1, 1, 0],
+            ],
+            ["1"] * 6,
+        ),
+    ],
+    ids=["doubling-n4", "n6-order-3-sample"],
+)
+def test_strict_classify_certifies_after_a_degenerate_first_sample(tmp_path, capsys, matrix, gamma):
+    rc = main(["classify", _write_spec(tmp_path, {"matrix": matrix, "gamma": gamma}), "--strict", "--json"])
+    density = json.loads(capsys.readouterr().out)["report"]["density"]
+    assert rc == 0
+    assert density["status"] == "NOT_CONTAINED" and density["rank"] == density["monomial_count"]
 
 
 # every subcommand with the arguments it requires

@@ -18,6 +18,7 @@ from torusdyn.dynamics import (
     _preimage,
     _residue_vectors,
     classify,
+    degenerate_sample,
     decompose,
     dynamical_degree,
     find_invariant_fibration,
@@ -29,8 +30,9 @@ from torusdyn.dynamics import (
 )
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix, evaluate_poly, lattice_intersection, lattice_sum, minpoly
-from torusdyn.kummer import KummerNumber, char_eval, from_layers, one_point, parse_point
+from torusdyn.kummer import KummerNumber, char_eval, from_layers, layers_of, one_point, parse_point
 from torusdyn.polyalg import IntPoly
+from torusdyn import oracle
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
 from conftest import rand_point, rand_unimodular_pair, rand_unipotent_automorphism
@@ -224,6 +226,32 @@ def test_periodic_points_verified_once_each(monkeypatch):
             emitted = periodic_torsion_points(a2, d, budget=64)
             assert len(calls) == len(emitted)
             assert emitted == reference_periodic(a2, d, 64), (a2, d)
+
+
+def test_periodic_walks_each_cycle_once(monkeypatch):
+    walks = []
+    real = dynamics._cycle
+
+    def counting(rows, d, u):
+        walks.append(u)
+        return real(rows, d, u)
+
+    monkeypatch.setattr(dynamics, "_cycle", counting)
+    cat = IntMatrix.from_rows([[2, 1], [1, 1]])
+    for d, budget in ((7, 49), (11, 121), (11, 30), (10, 100)):
+        walks.clear()
+        emitted = periodic_torsion_points(cat, d, budget)
+        assert emitted == reference_periodic(cat, d, budget)
+        # the distinct cycles among the emitted points, found without _cycle
+        cycles = set()
+        for point, _ in emitted:
+            u = tuple(int(c.torsion * d) for c in point)
+            orbit, v = {u}, ((2 * u[0] + u[1]) % d, (u[0] + u[1]) % d)
+            while v != u:
+                orbit.add(v)
+                v = ((2 * v[0] + v[1]) % d, (v[0] + v[1]) % d)
+            cycles.add(frozenset(orbit))
+        assert len(walks) == len(cycles), (d, budget)
 
 
 def test_residue_vectors_match_product():
@@ -460,3 +488,65 @@ def test_fixed_character_lattice_pinned(name, rows, gamma, expected):
         lat = _fixed_character_lattice(phi, ell)
         assert lat.basis == basis, (name, ell)
         assert all(FibrationWitness(ell, b, lat).verify(phi) for b in basis)
+
+
+# -- the density sample -------------------------------------------------------------
+
+
+def _doubling_map(n):
+    """x -> (3, 5, 7, 11[, 13]) * x^(2I): x1 is trivial and the first 40 cycles have orders 1 and 3."""
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    return AffineMonomialMap.build(rows, parse_point(["3", "5", "7", "11", "13"][:n]))
+
+
+def test_degenerate_sample_predicate():
+    on_mu3 = [parse_point([f"zeta(3)^{i}", f"2^{j}"]) for i in range(3) for j in range(6)]
+    assert degenerate_sample(layers_of(on_mu3), 3)
+    assert not degenerate_sample(layers_of(on_mu3), 2)
+    for name in ("example_dense", "example_dense3"):
+        spec = load_map_spec(str(FIXDIR / f"{name}.json"))
+        config = ClassifyConfig(**spec.options)
+        fams = invariant_family(spec.to_map(), config.family_budget, config.torsion_cap)
+        pts = sample_family_points(fams, config.seed, cap=config.point_budget)
+        assert not degenerate_sample(pts, config.degree_bound), name
+
+
+def test_degenerate_first_sample_of_the_doubling_maps():
+    for n in (4, 5):
+        fams = invariant_family(_doubling_map(n), 40)
+        assert {f.torsion_order for f in fams} == {1, 3}
+        assert degenerate_sample(sample_family_points(fams, 0), 3)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_doubling_maps_redraw_a_certifiable_sample(n, monkeypatch):
+    ranks = []
+    real = oracle._rank_mod
+
+    def counting(rows, q):
+        ranks.append(q)
+        return real(rows, q)
+
+    monkeypatch.setattr(oracle, "_rank_mod", counting)
+    phi = _doubling_map(n)
+    report = classify(phi, ClassifyConfig())
+    assert report.verdict == VERDICT_DENSE
+    assert report.density.not_contained
+    assert report.density.rank == report.density.monomial_count
+    assert len(ranks) <= 2
+    assert all(coset_cycle_invariant(phi, f.cycle) for f in report.family)
+    keys = {frozenset(c.canonical_key() for c in f.cycle) for f in report.family}
+    assert len(keys) == len(report.family)
+    # the first 40 cycles are kept; the redrawn ones have the least odd order above the degree bound
+    assert [f.torsion_order for f in report.family[:40]] == [f.torsion_order for f in invariant_family(phi, 40)]
+    assert {f.torsion_order for f in report.family[40:]} == {5}
+
+
+def test_degenerate_sample_past_the_torsion_cap_is_undecided_untried(monkeypatch):
+    monkeypatch.setattr(oracle, "_rank_mod", None)  # never reached
+    phi = _doubling_map(4)
+    report = classify(phi, ClassifyConfig(torsion_cap=4))
+    assert report.density.status == "UNDECIDED"
+    assert report.density.attempts == 0 and report.density.prime is None
+    assert len(report.family) == 40
+    assert report.density.point_count == 79
