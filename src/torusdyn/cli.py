@@ -66,6 +66,21 @@ class MapSpec:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# The spectral-radius bracketing slows fast as the tolerance shrinks (minutes at n = 6 and 1/10^6).
+_TOLERANCE_FLOOR = Fraction(1, 10**4)
+
+
+def _tolerance(text: str | None) -> Fraction:
+    """A spec's relative tolerance for the degree interval (the library default when absent)."""
+    try:
+        tol = dynamics.ClassifyConfig.rel_tol if text is None else Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"tolerance {text!r} is not a fraction") from exc
+    if tol < _TOLERANCE_FLOOR:
+        raise ParseError(f"tolerance must be at least {_TOLERANCE_FLOOR}")
+    return tol
+
+
 def _is_int(x) -> bool:
     """A JSON integer: bool is a subclass of int in Python, but `true` is not a number."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -104,13 +119,12 @@ def load_map_spec(path: str) -> MapSpec:
             raise ParseError(f"option {key!r} must be {want.__name__}")
         if want is int and val <= 0:
             raise ParseError(f"option {key!r} must be positive")
+    _tolerance(options.get("tolerance"))  # every command refuses a bad tolerance, whether it reads it or not
     spec = MapSpec(tuple(tuple(r) for r in matrix), tuple(gamma), dict(options))
     spec.to_map()  # validates coordinates and det != 0
     return spec
 
 
-# The spectral-radius bracketing slows fast as the tolerance shrinks (minutes at n = 6 and 1/10^6).
-_TOLERANCE_FLOOR = Fraction(1, 10**4)
 _CAP_FLAGS = ("iterate_cap", "degree_bound", "torsion_cap", "retries")
 # The longest orbit `orbit -n` and `check-density --budget` compute.  Exponents
 # gain digits at every step, so the output grows quadratically with the length,
@@ -139,15 +153,9 @@ def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             options[key] = flag
-    default = dynamics.ClassifyConfig()
-    text = options.pop("tolerance", None)
-    try:
-        tol = default.rel_tol if text is None else Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"tolerance {text!r} is not a fraction") from exc
-    if tol < _TOLERANCE_FLOOR:
-        raise ParseError(f"tolerance must be at least {_TOLERANCE_FLOOR}")
-    return replace(default, **options, rel_tol=tol, force_family=bool(getattr(args, "force_family", False)))
+    tol = _tolerance(options.pop("tolerance", None))
+    force_family = bool(getattr(args, "force_family", False))
+    return replace(dynamics.ClassifyConfig(), **options, rel_tol=tol, force_family=force_family)
 
 
 # -- serialization --------------------------------------------------------------

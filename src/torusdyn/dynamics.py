@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .intlinalg import (
@@ -64,6 +64,25 @@ class ClassifyConfig:
     force_family: bool = False
 
 
+# -- spectral data ------------------------------------------------------------
+
+
+class Spectrum(NamedTuple):
+    """A matrix's minimal polynomial mu and mu's cyclotomic_part.
+
+    classify computes these once and hands them to each stage; a stage
+    called on its own computes them itself.
+    """
+
+    minpoly: IntPoly
+    cyclotomic: tuple[tuple[tuple[int, int], ...], IntPoly]
+
+
+def spectral_data(a: IntMatrix) -> Spectrum:
+    mu = minpoly(a)
+    return Spectrum(mu, cyclotomic_part(mu))
+
+
 # -- dynamical degree ---------------------------------------------------------
 
 
@@ -82,13 +101,16 @@ class DynamicalDegree:
         return f"[{float(lo):.9g}, {float(hi):.9g}]"
 
 
-def dynamical_degree(phi: AffineMonomialMap, rel_tol: Fraction = Fraction(1, 1000)) -> DynamicalDegree:
+def dynamical_degree(
+    phi: AffineMonomialMap, rel_tol: Fraction = Fraction(1, 1000), spectrum: Spectrum | None = None
+) -> DynamicalDegree:
     """Decide the dynamical degree: exactly 1, or a certified interval above 1.
 
     The exact branch never consults numerics; the interval branch tightens the
     tolerance until the lower bound clears 1 (two retries, then an OracleError).
     """
-    qu = quasi_unipotence(minpoly(phi.matrix))
+    spectrum = spectrum or spectral_data(phi.matrix)
+    qu = quasi_unipotence(spectrum.minpoly, spectrum.cyclotomic)
     if qu is not None:
         return DynamicalDegree(True, qu, None)
     cp = charpoly(phi.matrix)
@@ -131,13 +153,13 @@ def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     one integer linear equation per prime, plus one congruence for the
     torsion layer.
     """
-    a = phi.matrix
     n = phi.dim
-    kernel = left_kernel_saturated(a**ell - IntMatrix.identity(n))
+    phil = phi.iterate(ell)
+    kernel = left_kernel_saturated(phil.matrix - IntMatrix.identity(n))
     s = kernel.rank
     if s == 0:
         return Lattice.zero(n)
-    gamma = phi.iterate(ell).translation
+    gamma = phil.translation
     basis = kernel.basis  # s rows of length n
     den, _, ((tors, *exps),) = layers_of([gamma])
 
@@ -158,14 +180,17 @@ def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     return Lattice.from_rows(n, rows)
 
 
-def find_invariant_fibration(phi: AffineMonomialMap, iterate_cap: int = 360) -> FibrationWitness | None:
+def find_invariant_fibration(
+    phi: AffineMonomialMap, iterate_cap: int = 360, spectrum: Spectrum | None = None
+) -> FibrationWitness | None:
     """Search for a monomial function invariant under some iterate of phi.
 
     Only iterates l for which A^l can fix a character matter: the divisors of
-    the lcm of the cyclotomic orders in charpoly(A), capped by iterate_cap.
-    The smallest working iterate is returned.
+    the lcm of the cyclotomic orders in the minimal polynomial of A (the same
+    orders as in charpoly(A), which has the same irreducible factors), capped
+    by iterate_cap.  The smallest working iterate is returned.
     """
-    factors, _ = cyclotomic_part(charpoly(phi.matrix))
+    factors, _ = (spectrum or spectral_data(phi.matrix)).cyclotomic
     if not factors:
         return None
     big = math.lcm(*(d for d, _ in factors))
@@ -202,9 +227,13 @@ class WildnessCertificate:
     refutation: tuple[int, ...] | None
 
 
-def wildness_certificate(phi: AffineMonomialMap) -> WildnessCertificate:
-    """Certify (or refute) wildness of a degree-one automorphism."""
-    qu = quasi_unipotence(minpoly(phi.matrix))
+def wildness_certificate(phi: AffineMonomialMap, certificate: tuple[int, int] | None = None) -> WildnessCertificate:
+    """Certify (or refute) wildness of a degree-one automorphism.
+
+    ``certificate`` is the (l, m) of the exact degree-one certificate, when
+    the caller has it.
+    """
+    qu = certificate or quasi_unipotence(minpoly(phi.matrix))
     if qu is None:
         raise PreconditionError("wildness analysis requires dynamical degree exactly 1")
     if not phi.is_automorphism:
@@ -227,10 +256,10 @@ def wildness_certificate(phi: AffineMonomialMap) -> WildnessCertificate:
 # -- decomposition ---------------------------------------------------------------
 
 
-def _normalized(phi: AffineMonomialMap) -> tuple[int, AffineMonomialMap]:
+def _normalized(phi: AffineMonomialMap, spectrum: Spectrum) -> tuple[int, AffineMonomialMap]:
     """(l0, phi^l0) with l0 the lcm of the cyclotomic orders in the minimal
     polynomial, so 1 is the only root of unity among the eigenvalues of phi^l0."""
-    factors, _ = cyclotomic_part(minpoly(phi.matrix))
+    factors, _ = spectrum.cyclotomic
     l0 = math.lcm(*(d for d, _ in factors))
     return l0, phi.iterate(l0) if l0 > 1 else phi
 
@@ -278,12 +307,13 @@ class Decomposition:
         return tuple(u * v for u, v in zip(a, b))
 
 
-def decompose(phi: AffineMonomialMap) -> Decomposition:
+def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decomposition:
     """Split phi (after a normalizing iterate) along the multiplicity of eigenvalue 1."""
-    l0, base = _normalized(phi)
+    spectrum = spectrum or spectral_data(phi.matrix)
+    l0, base = _normalized(phi, spectrum)
     a = base.matrix
     n = phi.dim
-    factors, q = cyclotomic_part(minpoly(a))
+    factors, q = (spectrum if l0 == 1 else spectral_data(a)).cyclotomic
     if q.is_one():
         raise PreconditionError("decomposition requires dynamical degree > 1")
     assert all(d == 1 for d, _ in factors), "normalization leaves 1 as the only root of unity"
@@ -466,7 +496,7 @@ def _lowest_terms(den: int, t: list[int]) -> tuple[int, tuple[int, ...]]:
     return (den // g, tuple(v // g for v in t))
 
 
-def _cycle_source(phi: AffineMonomialMap) -> tuple[Decomposition, Callable]:
+def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> tuple[Decomposition, Callable]:
     """phi's decomposition, and a generator of its coset cycles from torsion orbits.
 
     ``cycles(d, orbits)`` transports each orbit of exact-order-d torsion points
@@ -487,7 +517,7 @@ def _cycle_source(phi: AffineMonomialMap) -> tuple[Decomposition, Callable]:
     (no eigenvalue on T/x1 is a root of unity), so it is checked once, on the
     first step, and cycles close and dedupe on their torsion projections.
     """
-    dec = decompose(phi)
+    dec = decompose(phi, spectrum)
     if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
         raise AssertionError("the unipotent subtorus is not invariant under the map")
     den_b, primes, ((beta_t, *beta_e), (gamma_t, *gamma_e)) = layers_of(
@@ -717,14 +747,14 @@ def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tup
     return list(taken.values())
 
 
-def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig):
+def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig, spectrum: Spectrum):
     """The invariant family and its density certificate.
 
     The oracle never runs on a degenerate sample: that sample is redrawn from
     grid cycles, the new ones appended to the family, and when none exist or
     their sample is degenerate too, the result is UNDECIDED with no prime tried.
     """
-    source = _cycle_source(phi)
+    source = _cycle_source(phi, spectrum)
     families = invariant_family(phi, config.family_budget, config.torsion_cap, source)
     pts = sample_family_points(families, config.seed, cap=config.point_budget)
     if degenerate_sample(pts, config.degree_bound):
@@ -748,10 +778,12 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
     FIBRATION wins when an invariant monomial function exists; degree-one
     automorphisms without one are certified wild; degree->1 maps carry a
     dense invariant family (also attached to fibration verdicts when
-    ``config.force_family`` is set).
+    ``config.force_family`` is set).  The minimal polynomial of A and its
+    cyclotomic part are computed once and passed to every stage.
     """
-    degree = dynamical_degree(phi, config.rel_tol)
-    fibration = find_invariant_fibration(phi, config.iterate_cap)
+    spectrum = spectral_data(phi.matrix)
+    degree = dynamical_degree(phi, config.rel_tol, spectrum)
+    fibration = find_invariant_fibration(phi, config.iterate_cap, spectrum)
     wildness = None
     family: tuple[CosetFamily, ...] = ()
     density = None
@@ -760,11 +792,11 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
     if fibration is not None:
         verdict = VERDICT_FIBRATION
         if not degree.exact_one and config.force_family:
-            family, density = _family_with_density(phi, config)
+            family, density = _family_with_density(phi, config, spectrum)
     elif degree.exact_one:
         verdict = VERDICT_WILD
         if phi.is_automorphism:
-            wildness = wildness_certificate(phi)
+            wildness = wildness_certificate(phi, degree.certificate)
             if not wildness.dense:
                 # only reachable when the scan cap hid the witness iterate;
                 # the refutation character scaled by its torsion order is one
@@ -785,7 +817,7 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
             )
     else:
         verdict = VERDICT_DENSE
-        family, density = _family_with_density(phi, config)
+        family, density = _family_with_density(phi, config, spectrum)
 
     return ClassificationReport(
         verdict=verdict,
@@ -836,10 +868,11 @@ def recursive_classification(
     """Recursively peel invariant fibrations and classify the fibers."""
     if depth_cap < 1:
         raise PreconditionError("depth_cap must be >= 1")
-    degree = dynamical_degree(phi, config.rel_tol)
+    spectrum = spectral_data(phi.matrix)
+    degree = dynamical_degree(phi, config.rel_tol, spectrum)
     alternative = 2 if degree.exact_one else 1
 
-    l0, norm = _normalized(phi)
+    l0, norm = _normalized(phi, spectrum)
     witness = find_invariant_fibration(norm, config.iterate_cap)
 
     verdict = q = child = None

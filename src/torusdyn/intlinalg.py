@@ -54,7 +54,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[:: n + 1] = [1] * n
+        return IntMatrix(n, n, tuple(entries))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> IntMatrix:
@@ -198,7 +200,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     [0, pivot), zero rows sink to the bottom.
     """
     h = m.to_rows()
-    u = IntMatrix.identity(m.rows).to_rows()
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
     r = 0
     for j in range(m.cols):
         piv = next((i for i in range(r, m.rows) if h[i][j] != 0), None)
@@ -231,7 +233,10 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         r += 1
         if r == m.rows:
             break
-    return IntMatrix.from_rows(h, m.cols), IntMatrix.from_rows(u, m.rows)
+    return (
+        IntMatrix(m.rows, m.cols, tuple(x for row in h for x in row)),
+        IntMatrix(m.rows, m.rows, tuple(x for row in u for x in row)),
+    )
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -351,13 +356,13 @@ class Lattice:
 
 
 def left_kernel_saturated(m: IntMatrix) -> Lattice:
-    """{b in Z^rows : b*m = 0}, which is automatically saturated."""
-    d, u, _ = smith_normal_form(m)
-    rows = []
-    for i in range(m.rows):
-        if i >= min(d.rows, d.cols) or d[i, i] == 0:
-            rows.append(u.row(i))
-    return Lattice.from_rows(m.rows, rows)
+    """{b in Z^rows : b*m = 0}, which is automatically saturated.
+
+    The rows of U whose row of H = U*m is zero lie in the kernel, and since U
+    is unimodular they span all of it over Z (one Hermite reduction).
+    """
+    h, u = hermite_normal_form(m)
+    return Lattice.from_rows(m.rows, [u.row(i) for i in range(m.rows) if not any(h.row(i))])
 
 
 def right_kernel_matrix(m: IntMatrix) -> IntMatrix:

@@ -193,14 +193,15 @@ def cyclotomic_part(p: IntPoly) -> tuple[tuple[tuple[int, int], ...], IntPoly]:
     return tuple(factors), rem
 
 
-def quasi_unipotence(p: IntPoly) -> tuple[int, int] | None:
+def quasi_unipotence(p: IntPoly, part: tuple | None = None) -> tuple[int, int] | None:
     """(l, m) with p dividing (x^l - 1)^m, or None when some root is not a root of unity.
 
     l is the lcm of the cyclotomic orders in p and m the largest multiplicity.
+    ``part`` is p's cyclotomic_part when the caller already has it.
     """
     if p.degree == 0:
         return (1, 1)
-    factors, rem = cyclotomic_part(p)
+    factors, rem = part or cyclotomic_part(p)
     if not rem.is_one():
         return None
     ell = math.lcm(*(d for d, _ in factors))
@@ -258,8 +259,8 @@ def spectral_radius(p: IntPoly, rel_tol) -> tuple[Fraction, Fraction]:
         return (Fraction(1), Fraction(1))
 
     n = p0.degree
-    ftol = float(tol)
-    target = math.ceil(math.log2(1.0 / ftol)) + n
+    # any sandwich meets tol >= 1, after one squaring; from tol = 2^n on, this target would be <= 0
+    target = math.ceil(math.log2(1.0 / float(tol))) + n if tol < 2**n else 1
     k = max(1, math.ceil(math.log2(target)))
     q = p0.coeffs
     for _ in range(k):

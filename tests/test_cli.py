@@ -240,6 +240,38 @@ def test_bad_tolerance_exits_2_at_once(tmp_path, capsys, tolerance):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["4", "1000000", "1e400"])
+def test_large_tolerance_gives_the_interval_of_tolerance_3(tmp_path, capsys, tolerance):
+    # any tolerance of 1 or more is met after the first Graeffe squaring
+    def interval(text):
+        spec = {"matrix": [[2, 1], [1, 1]], "gamma": ["1", "1"], "options": {"tolerance": text}}
+        assert main(["classify", _write_spec(tmp_path, spec), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        return json.loads(out)["report"]["dynamical_degree"]["interval"]
+
+    assert interval(tolerance) == interval("3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["fibration"],
+        ["wild"],
+        ["decompose"],
+        ["periodic", "-d", "3"],
+        ["orbit", "--point", "2,3"],
+        ["check-density", "--point", "2,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_refuses_a_bad_tolerance(tmp_path, capsys, argv):
+    spec = _write_spec(tmp_path, dict(WILD, options={"seed": 7, "tolerance": "inf"}))
+    assert main([argv[0], spec, *argv[1:]]) == 2
+    assert "tolerance 'inf' is not a fraction" in capsys.readouterr().err
+
+
 def test_large_prime_coordinate_ends_in_bounded_time(tmp_path):
     spec = _write_spec(tmp_path, {"matrix": [[2, 1], [1, 1]], "gamma": ["1000000000000000003", "1"]})
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

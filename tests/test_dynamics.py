@@ -550,3 +550,33 @@ def test_degenerate_sample_past_the_torsion_cap_is_undecided_untried(monkeypatch
     assert report.density.attempts == 0 and report.density.prime is None
     assert len(report.family) == 40
     assert report.density.point_count == 79
+
+
+@pytest.mark.parametrize(
+    "fixture, minpolys_of_a, charpolys",
+    # on the dense map, decompose's check minpoly(a2) == q runs on A again (x2 is the whole torus)
+    [("example_wild.json", 1, 0), ("example_fibration.json", 1, 0), ("example_dense.json", None, 1)],
+)
+def test_classify_computes_the_spectral_data_once(fixture, minpolys_of_a, charpolys, monkeypatch):
+    # classify hands mu_A and its cyclotomic part to every stage; charpoly runs only
+    # for the spectral radius of a degree > 1 map.  Equal counts on a second run of
+    # the same phi show that nothing is cached between calls.
+    phi = load_map_spec(str(FIXDIR / fixture)).to_map()
+    calls = {"minpoly": [], "charpoly": []}
+    for name in calls:
+        real = getattr(dynamics, name)
+
+        def counting(m, _real=real, _seen=calls[name]):
+            _seen.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    counts = []
+    for _ in range(2):
+        for seen in calls.values():
+            seen.clear()
+        classify(phi)
+        counts.append((sum(m == phi.matrix for m in calls["minpoly"]), len(calls["charpoly"]), len(calls["minpoly"])))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == charpolys
+    assert minpolys_of_a is None or counts[0][0] == minpolys_of_a

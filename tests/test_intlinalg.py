@@ -117,6 +117,44 @@ def test_left_kernel_random():
         assert ker.rank == rows - rational_rank(m.to_rows())
 
 
+def _smith_left_kernel(m: IntMatrix) -> Lattice:
+    """The left kernel as the rows of U, from U*m*V = D in Smith form, where D's diagonal is zero."""
+    d, u, _ = smith_normal_form(m)
+    rank = min(d.rows, d.cols)
+    return Lattice.from_rows(m.rows, [u.row(i) for i in range(m.rows) if i >= rank or d[i, i] == 0])
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """0..6 by 0..6 integer matrices, entries up to 10^6 in size: dense, zero, or of lower rank."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
+    kind = draw(st.sampled_from(["dense", "zero", "low rank"]))
+    if kind == "zero":
+        return IntMatrix.zeros(rows, cols)
+    if kind == "dense" or min(rows, cols) < 2:
+        return IntMatrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+    # a product through k < min(rows, cols) dimensions has rank at most k
+    k = draw(st.integers(1, min(rows, cols) - 1))
+    small = st.integers(-300, 300)
+    left = IntMatrix(rows, k, tuple(draw(st.lists(small, min_size=rows * k, max_size=rows * k))))
+    right = IntMatrix(k, cols, tuple(draw(st.lists(small, min_size=k * cols, max_size=k * cols))))
+    return left * right
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_kernel_matrices())
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix.zeros(0, 0))
+@example(IntMatrix.zeros(4, 2))
+@example(IntMatrix.from_rows([[10**6, -(10**6)], [999_999, -999_999], [1, -1]]))
+def test_left_kernel_matches_the_smith_construction(m):
+    ker = left_kernel_saturated(m)
+    assert ker == _smith_left_kernel(m)
+    assert all(not any(vec_mat(b, m)) for b in ker.basis)
+
+
 def test_lattice_ops_examples():
     e1 = Lattice.from_rows(2, [[1, 0]])
     e2 = Lattice.from_rows(2, [[0, 1]])

@@ -52,6 +52,34 @@ def test_classify_reaches_the_traced_stages(monkeypatch):
     assert all(calls[name] >= 1 for _, name in STAGES), dict(calls)
 
 
+# the degree-one stages, and the fixtures whose classification reaches each one
+DEGREE_ONE_STAGES = {
+    "dynamical_degree": {"example_wild.json", "example_fibration.json"},
+    "find_invariant_fibration": {"example_wild.json", "example_fibration.json"},
+    "_fixed_character_lattice": {"example_wild.json", "example_fibration.json"},
+    "wildness_certificate": {"example_wild.json"},
+}
+
+
+def test_classify_reaches_the_degree_one_stages(monkeypatch):
+    # classify hands its spectral data to these stages; it must still call them
+    # through their module-level names, where the tracer patches them
+    calls: Counter = Counter()
+    for name in DEGREE_ONE_STAGES:
+        original = getattr(dynamics, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    for fixture in ("example_wild.json", "example_fibration.json"):
+        calls.clear()
+        dynamics.classify(load_map_spec(str(FIXTURES / fixture)).to_map())
+        reached = {name for name in DEGREE_ONE_STAGES if calls[name]}
+        assert reached == {name for name, where in DEGREE_ONE_STAGES.items() if fixture in where}, fixture
+
+
 def test_docstring_examples_run():
     for module in (kummer, polyalg):
         result = doctest.testmod(module)
