@@ -107,7 +107,10 @@ def dynamical_degree(
     """Decide the dynamical degree: exactly 1, or a certified interval above 1.
 
     The exact branch never consults numerics; the interval branch tightens the
-    tolerance until the lower bound clears 1 (two retries, then an OracleError).
+    tolerance until the lower bound clears 1, then raises an OracleError.  The
+    tries are rel_tol, rel_tol/100 and rel_tol/10^4, and then whichever of
+    t/100 and t/10^4, for t = min(rel_tol, 1/1000), is finer still, so a
+    large tolerance gets at least the retries the default one gets.
     """
     spectrum = spectrum or spectral_data(phi.matrix)
     qu = quasi_unipotence(spectrum.minpoly, spectrum.cyclotomic)
@@ -115,11 +118,13 @@ def dynamical_degree(
         return DynamicalDegree(True, qu, None)
     cp = charpoly(phi.matrix)
     tol = Fraction(rel_tol)
-    for _ in range(3):
-        lo, hi = spectral_radius(cp, tol)
+    tries = [tol, tol / 100, tol / 10**4]
+    start = min(tol, Fraction(1, 1000))
+    tries += [t for t in (start / 100, start / 10**4) if t < tries[-1]]
+    for t in tries:
+        lo, hi = spectral_radius(cp, t)
         if lo > 1:
             return DynamicalDegree(False, None, (lo, hi))
-        tol /= 100
     raise OracleError("failed to separate the spectral radius from 1")
 
 
@@ -146,22 +151,45 @@ class FibrationWitness:
         return char_eval(phi.iterate(self.iterate).translation, self.character).is_one()
 
 
+def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[IntMatrix, PointLayers]:
+    """(A^k, the layers of gamma_k) for the k-th iterate of x -> gamma * x^A, gamma on layers over den.
+
+    The doubling of :meth:`AffineMonomialMap.iterate` on exponent layers: a
+    map (B, h) after (C, f) is (B*C, h + B*f), the torsion layer mod den.
+    """
+
+    def compose(outer, inner):
+        (b, h), (c, f) = outer, inner
+        return b * c, _affine_step(b.to_rows(), den, f, h)
+
+    result = None
+    square = (a, g)
+    while True:
+        if k & 1:
+            result = square if result is None else compose(square, result)
+        k >>= 1
+        if not k:
+            return result
+        square = compose(square, square)
+
+
 def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     """All characters b with b*(A^l - I) = 0 and chi_b(gamma_l) = 1, as a lattice.
 
     The condition chi_b(gamma_l) = 1 splits per exponent layer of gamma_l:
     one integer linear equation per prime, plus one congruence for the
-    torsion layer.
+    torsion layer.  gamma_l's layers are iterated over gamma's denominator;
+    any common denominator gives the same equations up to a common factor,
+    so the same lattice.
     """
     n = phi.dim
-    phil = phi.iterate(ell)
-    kernel = left_kernel_saturated(phil.matrix - IntMatrix.identity(n))
+    den, _, (layers,) = layers_of([phi.translation])
+    al, (tors, *exps) = _iterate_layers(phi.matrix, den, layers, ell)
+    kernel = left_kernel_saturated(al - IntMatrix.identity(n))
     s = kernel.rank
     if s == 0:
         return Lattice.zero(n)
-    gamma = phil.translation
     basis = kernel.basis  # s rows of length n
-    den, _, ((tors, *exps),) = layers_of([gamma])
 
     # prime layers: integer matrix whose right kernel is {c : chi_{c*B}(gamma) has no prime part}
     # (all of Z^s when gamma has no prime part)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .kummer import is_prime
@@ -193,22 +194,22 @@ def vec_mat(v: Sequence, m: IntMatrix) -> tuple:
 # -- normal forms ------------------------------------------------------------
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) with U unimodular, U*m = H, H in canonical row Hermite form.
+def _hermite_rows(h: list[list[int]]) -> list[list[int]]:
+    """The rows reduced in place to canonical row Hermite form; returns h.
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), zero rows sink to the bottom.
     """
-    h = m.to_rows()
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    nrows = len(h)
     r = 0
-    for j in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if h[i][j] != 0), None)
+    for j in range(len(h[0]) if h else 0):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if h[i][j] != 0), None)
         if piv is None:
             continue
         h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m.rows):
+        for i in range(r + 1, nrows):
             if h[i][j] == 0:
                 continue
             a, b = h[r][j], h[i][j]
@@ -218,24 +219,30 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 [x * s + y * t for s, t in zip(h[r], h[i])],
                 [p * s + q * t for s, t in zip(h[r], h[i])],
             )
-            u[r], u[i] = (
-                [x * s + y * t for s, t in zip(u[r], u[i])],
-                [p * s + q * t for s, t in zip(u[r], u[i])],
-            )
         if h[r][j] < 0:
             h[r] = [-s for s in h[r]]
-            u[r] = [-s for s in u[r]]
         for i in range(r):
             q = h[i][j] // h[r][j]
             if q:
                 h[i] = [s - q * t for s, t in zip(h[i], h[r])]
-                u[i] = [s - q * t for s, t in zip(u[i], u[r])]
         r += 1
-        if r == m.rows:
-            break
+    return h
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(H, U) with U unimodular, U*m = H, H in canonical row Hermite form.
+
+    One reduction of [m | I]: H is the left block and U the right one.  The
+    rows of U whose row of H is zero are then in canonical Hermite form too,
+    so they are the HNF basis of the integer left kernel of m.  Reducing the
+    right block only subtracts those kernel rows, whose left block is zero,
+    so H is the Hermite form of m alone.
+    """
+    k = m.cols
+    aug = _hermite_rows([list(m.row(i)) + [int(i == j) for j in range(m.rows)] for i in range(m.rows)])
     return (
-        IntMatrix(m.rows, m.cols, tuple(x for row in h for x in row)),
-        IntMatrix(m.rows, m.rows, tuple(x for row in u for x in row)),
+        IntMatrix(m.rows, k, tuple(x for row in aug for x in row[:k])),
+        IntMatrix(m.rows, m.rows, tuple(x for row in aug for x in row[k:])),
     )
 
 
@@ -320,11 +327,7 @@ class Lattice:
         rows = [list(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length does not match ambient dimension")
-        if not rows:
-            return Lattice(ambient_dim, ())
-        h, _ = hermite_normal_form(IntMatrix.from_rows(rows, ambient_dim))
-        kept = tuple(h.row(i) for i in range(h.rows) if any(h.row(i)))
-        return Lattice(ambient_dim, kept)
+        return Lattice(ambient_dim, tuple(tuple(row) for row in _hermite_rows(rows) if any(row)))
 
     @staticmethod
     def zero(n: int) -> Lattice:
@@ -359,16 +362,24 @@ def left_kernel_saturated(m: IntMatrix) -> Lattice:
     """{b in Z^rows : b*m = 0}, which is automatically saturated.
 
     The rows of U whose row of H = U*m is zero lie in the kernel, and since U
-    is unimodular they span all of it over Z (one Hermite reduction).
+    is unimodular they span all of it over Z; :func:`hermite_normal_form`
+    leaves them in canonical form, so one reduction gives the lattice.
     """
     h, u = hermite_normal_form(m)
-    return Lattice.from_rows(m.rows, [u.row(i) for i in range(m.rows) if not any(h.row(i))])
+    return Lattice(m.rows, tuple(u.row(i) for i in range(m.rows) if not any(h.row(i))))
 
 
 def right_kernel_matrix(m: IntMatrix) -> IntMatrix:
     """Columns span {u in Z^cols : m*u = 0}; the column lattice is saturated."""
     lat = left_kernel_saturated(m.transpose())
     return lat.basis_matrix().transpose()
+
+
+def is_saturated(lat: Lattice) -> bool:
+    """Whether Z^n / lat is torsion-free: the gcd of the maximal minors of the
+    basis is 1, i.e. the columns of the basis span Z^rank (their Hermite
+    pivots multiply to 1; one reduction)."""
+    return index_if_finite(Lattice.from_rows(lat.rank, zip(*lat.basis))) == 1
 
 
 def saturation(lat: Lattice) -> Lattice:
@@ -488,14 +499,17 @@ def minpoly(m: IntMatrix) -> IntPoly:
 
 
 def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:
-    """p(m) by Horner's rule."""
+    """p(m) by Horner's rule on plain rows: each step multiplies by m and adds c on the diagonal."""
     if m.rows != m.cols:
         raise ValueError("polynomial of a non-square matrix")
-    acc = IntMatrix.zeros(m.rows, m.rows)
-    eye = IntMatrix.identity(m.rows)
+    n = m.rows
+    cols = [m.col(j) for j in range(n)]
+    acc = [[0] * n for _ in range(n)]
     for c in reversed(p.coeffs):
-        acc = acc * m + c * eye
-    return acc
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        for i in range(n):
+            acc[i][i] += c
+    return IntMatrix(n, n, tuple(x for row in acc for x in row))
 
 
 # -- linear solving ------------------------------------------------------------

@@ -25,9 +25,9 @@ from functools import cached_property
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    is_saturated,
     left_kernel_saturated,
     right_kernel_matrix,
-    saturation,
     smith_normal_form,
 )
 from .kummer import Point, char_eval
@@ -125,7 +125,7 @@ class Subtorus:
     def __post_init__(self):
         if self.annihilator.ambient_dim != self.ambient_dim:
             raise ValueError("annihilator lives in the wrong character lattice")
-        if saturation(self.annihilator) != self.annihilator:
+        if not is_saturated(self.annihilator):
             raise ValueError("annihilator must be saturated")
 
     @staticmethod

@@ -4,12 +4,14 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from torusdyn import polyalg
 from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main
+from torusdyn.intlinalg import IntMatrix, charpoly
 from torusdyn.kummer import PRINT_DIGIT_LIMIT, parse_point
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +253,18 @@ def test_large_tolerance_gives_the_interval_of_tolerance_3(tmp_path, capsys, tol
         return json.loads(out)["report"]["dynamical_degree"]["interval"]
 
     assert interval(tolerance) == interval("3")
+
+
+def test_large_tolerance_retries_at_the_default_retry_tolerance(tmp_path, capsys):
+    # the plastic number: tolerances 10^6, 10^4 and 100 all leave the lower bound
+    # below 1, so the retries go on from 1/1000, as they would for the default
+    rows = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+    spec = {"matrix": rows, "gamma": ["1", "1", "1"], "options": {"tolerance": "1000000"}}
+    assert main(["classify", _write_spec(tmp_path, spec), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["report"]["dynamical_degree"]["interval"]
+    lo, hi = polyalg.spectral_radius(charpoly(IntMatrix.from_rows(rows)), Fraction(1, 10**5))
+    assert got == [str(lo), str(hi)]
+    assert 1 < lo and float(lo) > 1.3247124 and float(hi) < 1.3247216
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusdyn.cli import load_map_spec
-from torusdyn import dynamics
+from torusdyn import dynamics, intlinalg, torus
 from torusdyn.dynamics import (
     ClassifyConfig,
     VERDICT_DENSE,
@@ -29,7 +29,8 @@ from torusdyn.dynamics import (
     wildness_certificate,
 )
 from torusdyn.errors import PreconditionError
-from torusdyn.intlinalg import IntMatrix, evaluate_poly, lattice_intersection, lattice_sum, minpoly
+from torusdyn.intlinalg import IntMatrix, Lattice, evaluate_poly, lattice_intersection, lattice_sum, left_kernel_saturated
+from torusdyn.intlinalg import minpoly, vec_mat
 from torusdyn.kummer import KummerNumber, char_eval, from_layers, layers_of, one_point, parse_point
 from torusdyn.polyalg import IntPoly
 from torusdyn import oracle
@@ -580,3 +581,114 @@ def test_classify_computes_the_spectral_data_once(fixture, minpolys_of_a, charpo
     assert counts[0] == counts[1]
     assert counts[0][1] == charpolys
     assert minpolys_of_a is None or counts[0][0] == minpolys_of_a
+
+
+def _fixed_character_lattice_reference(phi, ell):
+    """_fixed_character_lattice as it was built from the exact iterate phi^l: the
+    kernel of A^l - I, then one equation per prime layer and a congruence for the
+    torsion layer of gamma_l, over gamma_l's own denominator."""
+    n = phi.dim
+    phil = phi.iterate(ell)
+    kernel = left_kernel_saturated(phil.matrix - IntMatrix.identity(n))
+    s = kernel.rank
+    if s == 0:
+        return Lattice.zero(n)
+    basis = kernel.basis
+    den, _, ((tors, *exps),) = layers_of([phil.translation])
+    prime_rows = [[sum(b * e for b, e in zip(row, layer)) for row in basis] for layer in exps]
+    c_lat = left_kernel_saturated(IntMatrix.from_rows(prime_rows, s).transpose())
+    r = c_lat.rank
+    if r == 0:
+        return Lattice.zero(n)
+    w = [sum(b * t for b, t in zip(row, tors)) for row in basis]
+    v = [sum(c * x for c, x in zip(crow, w)) for crow in c_lat.basis]
+    u_lat = left_kernel_saturated(IntMatrix.from_rows([[x] for x in v + [den]], 1))
+    rows = [vec_mat(vec_mat(u[:r], c_lat.basis_matrix()), IntMatrix.from_rows(basis, n)) for u in u_lat.basis]
+    return Lattice.from_rows(n, rows)
+
+
+@pytest.mark.parametrize("kind", ["torsion", "fractional", "mixed"])
+def test_fixed_character_lattice_matches_the_exact_iterate(kind):
+    # gamma_l taken on exponent layers by doubling, against gamma_l from phi.iterate
+    point_kw = {
+        "torsion": dict(torsion_orders=tuple(range(1, 13)), primes=()),
+        "fractional": dict(torsion_orders=(1,), denoms=(1, 2, 3, 4)),
+        "mixed": dict(torsion_orders=tuple(range(1, 13)), denoms=(1, 1, 2, 3)),
+    }[kind]
+    rng = random.Random(517)
+    nonzero = 0
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        rows = [[0] * n for _ in range(n)]
+        i = 0
+        while i < n:
+            block = rng.choice([b for b in _BLOCKS if len(b) <= n - i])
+            for r, brow in enumerate(block):
+                rows[i + r][i : i + len(brow)] = brow
+            i += len(block)
+        w, winv = rand_unimodular_pair(rng, n, shears=3)
+        phi = AffineMonomialMap(w * IntMatrix.from_rows(rows) * winv, rand_point(rng, n, **point_kw))
+        for ell in (1, 2, 3, 4, 6, 12, 360):
+            lat = _fixed_character_lattice(phi, ell)
+            assert lat == _fixed_character_lattice_reference(phi, ell), (phi, ell)
+            nonzero += lat.rank > 0
+    assert nonzero >= 30
+
+
+@pytest.mark.parametrize("fixture, verdict", [("example_wild.json", VERDICT_WILD), ("example_fibration.json", VERDICT_FIBRATION)])
+def test_degree_one_classify_stays_on_integers(fixture, verdict, monkeypatch):
+    # no KummerNumber product while searching for a fibration, no saturation()
+    # anywhere, and one Hermite reduction inside each saturated kernel
+    phi = load_map_spec(str(FIXDIR / fixture)).to_map()
+    muls_in_search, saturations, hnfs_per_kernel, searching, in_kernel = [], [], [], [], []
+
+    real_mul = KummerNumber.__mul__
+
+    def mul(self, other):
+        if searching:
+            muls_in_search.append(1)
+        return real_mul(self, other)
+
+    real_search = dynamics.find_invariant_fibration
+
+    def search(*args, **kw):
+        searching.append(1)
+        try:
+            return real_search(*args, **kw)
+        finally:
+            searching.pop()
+
+    real_kernel = intlinalg.left_kernel_saturated
+
+    def kernel(m):
+        in_kernel.append(0)
+        try:
+            return real_kernel(m)
+        finally:
+            hnfs_per_kernel.append(in_kernel.pop())
+
+    real_hnf = intlinalg.hermite_normal_form
+
+    def hnf(m):
+        if in_kernel:
+            in_kernel[-1] += 1
+        return real_hnf(m)
+
+    real_saturation = intlinalg.saturation
+
+    def saturation(lat):
+        saturations.append(lat)
+        return real_saturation(lat)
+
+    monkeypatch.setattr(KummerNumber, "__mul__", mul)
+    monkeypatch.setattr(dynamics, "find_invariant_fibration", search)
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", hnf)
+    for mod in (intlinalg, torus, dynamics):
+        for name, wrapper in (("left_kernel_saturated", kernel), ("saturation", saturation)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    report = classify(phi)
+    assert report.verdict == verdict
+    assert muls_in_search == []
+    assert saturations == []
+    assert hnfs_per_kernel and all(c == 1 for c in hnfs_per_kernel)

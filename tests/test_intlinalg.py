@@ -13,6 +13,7 @@ from torusdyn.intlinalg import (
     evaluate_poly,
     hermite_normal_form,
     index_if_finite,
+    is_saturated,
     lattice_intersection,
     lattice_sum,
     left_kernel_saturated,
@@ -153,6 +154,59 @@ def test_left_kernel_matches_the_smith_construction(m):
     ker = left_kernel_saturated(m)
     assert ker == _smith_left_kernel(m)
     assert all(not any(vec_mat(b, m)) for b in ker.basis)
+
+
+def _two_reduction_kernel(m: IntMatrix) -> Lattice:
+    """The left kernel as it was built before hermite_normal_form reduced [m | I]:
+    the rows of U whose row of H is zero, put into Hermite form by a second reduction."""
+    h, u = hermite_normal_form(m)
+    return Lattice.from_rows(m.rows, [u.row(i) for i in range(m.rows) if not any(h.row(i))])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_kernel_matrices())
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix.zeros(0, 0))
+@example(IntMatrix.from_rows([[2, 4], [1, 2], [3, 6]]))
+def test_left_kernel_needs_no_second_reduction(m):
+    # the kernel rows of one reduction of [m | I] are already the canonical basis,
+    # and the left block is the Hermite form of m alone
+    assert left_kernel_saturated(m) == _two_reduction_kernel(m)
+    hnf = Lattice.from_rows(m.cols, m.to_rows()).basis
+    h, u = hermite_normal_form(m)
+    assert h.to_rows() == [list(b) for b in hnf] + [[0] * m.cols] * (m.rows - len(hnf))
+    assert u * m == h and u.det() in (1, -1)
+
+
+@st.composite
+def _lattices(draw):
+    """A saturated lattice (a left kernel), then maybe one basis row scaled by k >= 2 or summed with another."""
+    m = draw(_kernel_matrices())
+    basis = [list(b) for b in left_kernel_saturated(m).basis]
+    if basis:
+        i = draw(st.integers(0, len(basis) - 1))
+        change = draw(st.sampled_from(["none", "scale", "sum"]))
+        if change == "scale":
+            k = draw(st.integers(2, 12))
+            basis[i] = [k * x for x in basis[i]]
+        elif change == "sum":
+            j = draw(st.integers(0, len(basis) - 1))
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+    return Lattice.from_rows(m.rows, basis)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_lattices())
+@example(Lattice.from_rows(2, [[2, 4]]))
+@example(Lattice.from_rows(3, [[2, 0, 0], [0, 6, 0]]))
+@example(Lattice.from_rows(3, [[1, 0, 0], [0, 2, 2]]))
+@example(Lattice.from_rows(3, [[1, 1, 0], [1, -1, 0]]))
+@example(Lattice.zero(3))
+@example(Lattice.zero(0))
+@example(Lattice.full(3))
+def test_is_saturated_matches_saturation(lat):
+    assert is_saturated(lat) == (saturation(lat) == lat)
 
 
 def test_lattice_ops_examples():

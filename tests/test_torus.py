@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torusdyn.intlinalg import IntMatrix, Lattice, rational_rank, solve_rational
+from torusdyn.intlinalg import IntMatrix, Lattice, rational_rank, saturation, solve_rational
 from torusdyn.kummer import one_point, parse_point
 from torusdyn.torus import (
     AffineMonomialMap,
@@ -223,3 +223,31 @@ def test_subtorus_coordinates_round_trip():
 def test_annihilator_must_be_saturated():
     with pytest.raises(ValueError):
         Subtorus(2, Lattice.from_rows(2, [[2, 0]]))
+
+
+def test_subtorus_saturation_check_matches_saturation():
+    # every subtorus is checked with one Hermite reduction of the transposed
+    # annihilator basis; the reference is the lattice's saturation
+    rng = random.Random(91)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        if rows and rng.random() < 0.5:
+            rows = [list(b) for b in saturation(Lattice.from_rows(n, rows)).basis]
+            if rows and rng.random() < 0.6:
+                i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+                if rng.random() < 0.5:
+                    rows[i] = [rng.randint(2, 9) * x for x in rows[i]]
+                else:
+                    rows[i] = [x + y for x, y in zip(rows[i], rows[j])]
+        lat = Lattice.from_rows(n, rows)
+        saturated = saturation(lat) == lat
+        seen[saturated] += 1
+        if saturated:
+            assert Subtorus(n, lat).annihilator == lat
+        else:
+            with pytest.raises(ValueError, match="saturated"):
+                Subtorus(n, lat)
+    assert min(seen.values()) >= 50
