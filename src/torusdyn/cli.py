@@ -11,7 +11,8 @@ strings:
 
 Subcommands: classify, fibration, wild, decompose, periodic, orbit,
 check-density.  Machine-readable output (--json) is canonical: identical
-spec and seed give byte-identical bytes.
+spec and seed give byte-identical bytes.  A report's JSON is its dataclass
+fields, apart from the exceptions in _FIELD_EXCEPTIONS.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 oracle
 UNDECIDED under --strict.
@@ -22,16 +23,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 from . import dynamics, oracle
 from .errors import OracleError, ParseError, PreconditionError
-from .intlinalg import IntMatrix, Lattice
+from .intlinalg import IntMatrix
 from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, layers_of, parse_point, printable
 from .polyalg import IntPoly
-from .torus import AffineMonomialMap, Coset, Subtorus
+from .torus import AffineMonomialMap, Subtorus
 
 _OPTION_FIELDS = {
     "iterate_cap": int,
@@ -117,7 +121,9 @@ def load_map_spec(path: str) -> MapSpec:
             raise ParseError(f"unknown option {key!r}")
         if not (_is_int(val) if want is int else isinstance(val, want)):
             raise ParseError(f"option {key!r} must be {want.__name__}")
-        if want is int and val <= 0:
+        if key == "seed" and val < 0:  # the default seed, 0, may be written out
+            raise ParseError("option 'seed' must be non-negative")
+        if want is int and key != "seed" and val <= 0:
             raise ParseError(f"option {key!r} must be positive")
     _tolerance(options.get("tolerance"))  # every command refuses a bad tolerance, whether it reads it or not
     spec = MapSpec(tuple(tuple(r) for r in matrix), tuple(gamma), dict(options))
@@ -161,97 +167,48 @@ def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
 # -- serialization --------------------------------------------------------------
 
 
+# Where a report's JSON departs from its dataclass fields, keyed by (type, field):
+# None leaves the field out, and (key, read) writes read(obj) under key.  A key
+# that is not a field of the type adds it.
+_FIELD_EXCEPTIONS = {
+    (Subtorus, "dim"): ("dim", attrgetter("dim")),
+    (Subtorus, "cochar_basis"): ("cochar_basis", attrgetter("cochar_basis")),
+    (dynamics.Decomposition, "base_map"): None,
+    (dynamics.Decomposition, "phi1"): None,
+    (dynamics.Decomposition, "phi2"): None,
+    (dynamics.Decomposition, "conjugated_phi2"): ("conjugated_translation", attrgetter("conjugated_phi2.translation")),
+    (dynamics.ClassificationReport, "degree"): ("dynamical_degree", attrgetter("degree")),
+    (dynamics.ClassificationReport, "family"): ("invariant_family", attrgetter("family")),
+}
+_TEXT_LEAVES = (Fraction, KummerNumber, IntPoly)
+
+
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, KummerNumber):
-        return str(obj)
-    if isinstance(obj, IntPoly):
-        return str(obj)
-    if isinstance(obj, IntMatrix):
-        return obj.to_rows()
-    if isinstance(obj, Lattice):
-        return {"ambient_dim": obj.ambient_dim, "basis": [list(r) for r in obj.basis]}
-    if isinstance(obj, Subtorus):
-        return {
-            "ambient_dim": obj.ambient_dim,
-            "dim": obj.dim,
-            "annihilator": to_jsonable(obj.annihilator),
-            "cochar_basis": obj.cochar_basis.to_rows(),
-        }
-    if isinstance(obj, Coset):
-        return {"base": list(format_point(obj.base)), "torus": to_jsonable(obj.torus)}
-    if isinstance(obj, dynamics.DynamicalDegree):
-        return {
-            "exact_one": obj.exact_one,
-            "certificate": list(obj.certificate) if obj.certificate else None,
-            "interval": [str(obj.interval[0]), str(obj.interval[1])] if obj.interval else None,
-        }
-    if isinstance(obj, dynamics.FibrationWitness):
-        return {
-            "iterate": obj.iterate,
-            "character": list(obj.character),
-            "lattice": to_jsonable(obj.lattice),
-        }
-    if isinstance(obj, dynamics.WildnessCertificate):
-        return {
-            "iterate": obj.iterate,
-            "nilpotency": obj.nilpotency,
-            "projection": obj.projection.to_rows(),
-            "gamma_bar": list(format_point(obj.gamma_bar)),
-            "primes": list(obj.primes),
-            "exponent_matrix": [[str(f) for f in row] for row in obj.exponent_matrix],
-            "dense": obj.dense,
-            "refutation": list(obj.refutation) if obj.refutation else None,
-        }
-    if isinstance(obj, dynamics.Decomposition):
-        return {
-            "normalize_iterate": obj.normalize_iterate,
-            "unipotent_multiplicity": obj.unipotent_multiplicity,
-            "hyperbolic_factor": str(obj.hyperbolic_factor),
-            "x1": to_jsonable(obj.x1),
-            "x2": to_jsonable(obj.x2),
-            "gamma1": list(format_point(obj.gamma1)),
-            "gamma2": list(format_point(obj.gamma2)),
-            "a1": obj.a1.to_rows(),
-            "a2": obj.a2.to_rows(),
-            "beta2": list(format_point(obj.beta2)),
-            "beta2_embedded": list(format_point(obj.beta2_embedded)),
-            "conjugated_translation": list(format_point(obj.conjugated_phi2.translation)),
-        }
-    if isinstance(obj, dynamics.CosetFamily):
-        return {
-            "torsion_order": obj.torsion_order,
-            "orbit_exponents": [list(u) for u in obj.orbit_exponents],
-            "cycle": [to_jsonable(c) for c in obj.cycle],
-        }
-    if isinstance(obj, oracle.ContainmentResult):
-        return {
-            "status": obj.status,
-            "degree_bound": obj.degree_bound,
-            "point_count": obj.point_count,
-            "monomial_count": obj.monomial_count,
-            "prime": obj.prime,
-            "rank": obj.rank,
-            "attempts": obj.attempts,
-        }
-    if isinstance(obj, dynamics.ClassificationReport):
-        return {
-            "verdict": obj.verdict,
-            "dynamical_degree": to_jsonable(obj.degree),
-            "fibration": to_jsonable(obj.fibration),
-            "wildness": to_jsonable(obj.wildness),
-            "invariant_family": [to_jsonable(f) for f in obj.family],
-            "density": to_jsonable(obj.density),
-            "flags": list(obj.flags),
-        }
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj)}")
+    return _encoder(type(obj))(obj)
+
+
+@cache
+def _encoder(cls) -> Callable:
+    """How to_jsonable encodes an object of type cls, chosen once per type.
+
+    A dataclass gives each of its repr fields, apart from the exceptions above.
+    """
+    if issubclass(cls, _TEXT_LEAVES):
+        return str
+    if issubclass(cls, IntMatrix):
+        return IntMatrix.to_rows
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [to_jsonable(x) for x in obj]
+    if issubclass(cls, dict):
+        return lambda obj: {k: to_jsonable(v) for k, v in obj.items()}
+    if not is_dataclass(cls):
+        raise TypeError(f"cannot serialize {cls}")
+    by_field = {f.name: (f.name, attrgetter(f.name)) for f in fields(cls) if f.repr}
+    by_field |= {name: rule for (c, name), rule in _FIELD_EXCEPTIONS.items() if c is cls}
+    rules = [rule for rule in by_field.values() if rule is not None]
+    return lambda obj: {key: to_jsonable(read(obj)) for key, read in rules}
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -269,10 +226,7 @@ def to_jsonable_dict(payload: dict) -> dict:
 # -- commands ----------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
-    config = _config_from(spec, args)
+def _cmd_classify(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     report = dynamics.classify(phi, config)
     lines = [f"verdict: {report.verdict}", f"dynamical degree: {report.degree}"]
     if report.fibration:
@@ -287,16 +241,10 @@ def _cmd_classify(args) -> int:
     for flag in report.flags:
         lines.append(f"note: {flag}")
     _emit({"command": "classify", "report": report}, args.json, lines)
-    if args.strict and report.density is not None and not report.density.not_contained:
-        print("density oracle returned UNDECIDED under --strict", file=sys.stderr)
-        return 4
-    return 0
+    return _strict_rc(args, report.density)
 
 
-def _cmd_fibration(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
-    config = _config_from(spec, args)
+def _cmd_fibration(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     witness = dynamics.find_invariant_fibration(phi, config.iterate_cap)
     if witness is None:
         lines = ["no invariant fibration (within the iterate cap)"]
@@ -306,9 +254,7 @@ def _cmd_fibration(args) -> int:
     return 0
 
 
-def _cmd_wild(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
+def _cmd_wild(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     cert = dynamics.wildness_certificate(phi)
     lines = [
         f"dense: {cert.dense}",
@@ -321,9 +267,7 @@ def _cmd_wild(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
+def _cmd_decompose(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     dec = dynamics.decompose(phi)
     lines = [
         f"normalizing iterate: {dec.normalize_iterate}",
@@ -337,24 +281,16 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_periodic(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
+def _cmd_periodic(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     pts = dynamics.periodic_torsion_points(phi.matrix, args.modulus, args.budget)
     lines = [f"{len(pts)} torsion points of order dividing {args.modulus}:"]
     lines += [f"  {list(format_point(p))} period {per}" for p, per in pts]
-    payload = {
-        "command": "periodic",
-        "modulus": args.modulus,
-        "points": [{"point": list(format_point(p)), "period": per} for p, per in pts],
-    }
-    _emit(payload, args.json, lines)
+    points = [{"point": p, "period": per} for p, per in pts]
+    _emit({"command": "periodic", "modulus": args.modulus, "points": points}, args.json, lines)
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
+def _cmd_orbit(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.length)
     if not all(printable(c) for p in orbit for c in p):
@@ -363,15 +299,11 @@ def _cmd_orbit(args) -> int:
             "ask for a shorter orbit with --length"
         )
     lines = [f"{i}: {list(format_point(p))}" for i, p in enumerate(orbit)]
-    payload = {"command": "orbit", "orbit": [list(format_point(p)) for p in orbit]}
-    _emit(payload, args.json, lines)
+    _emit({"command": "orbit", "orbit": orbit}, args.json, lines)
     return 0
 
 
-def _cmd_check_density(args) -> int:
-    spec = load_map_spec(args.spec)
-    phi = spec.to_map()
-    config = _config_from(spec, args)
+def _cmd_check_density(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.budget)
     result = oracle.hypersurface_containment(
@@ -384,7 +316,12 @@ def _cmd_check_density(args) -> int:
     if result.prime:
         lines.append(f"certified modulo prime {result.prime} (rank {result.rank})")
     _emit({"command": "check-density", "result": result}, args.json, lines)
-    if args.strict and not result.not_contained:
+    return _strict_rc(args, result)
+
+
+def _strict_rc(args, density: oracle.ContainmentResult | None) -> int:
+    """Exit code 4 under --strict when the density oracle ran and stayed UNDECIDED."""
+    if args.strict and density is not None and not density.not_contained:
         print("density oracle returned UNDECIDED under --strict", file=sys.stderr)
         return 4
     return 0
@@ -467,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args)
+        spec = load_map_spec(args.spec)
+        return args.func(args, spec.to_map(), _config_from(spec, args))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,10 @@ from functools import cached_property
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    hermite_normal_form,
     is_saturated,
     left_kernel_saturated,
     right_kernel_matrix,
-    smith_normal_form,
 )
 from .kummer import Point, char_eval
 
@@ -153,15 +153,14 @@ class Subtorus:
 
     @cached_property
     def _cochar_left_inverse(self) -> IntMatrix:
-        """W with W * cochar_basis = identity; exists because the column lattice is saturated."""
+        """W with W * cochar_basis = identity: the top k rows of U in U * V = H, since the
+        saturated column lattice of V (n x k) makes its Hermite form H = I_k over zeros."""
         v = self.cochar_basis
-        k = v.cols
-        d, u, vv = smith_normal_form(v)
-        for i in range(k):
-            if d[i, i] != 1:
-                raise AssertionError("cochar basis is not saturated")
-        dplus = IntMatrix.from_rows([[1 if i == j else 0 for j in range(v.rows)] for i in range(k)], v.rows)
-        return vv * dplus * u
+        n, k = v.rows, v.cols
+        h, u = hermite_normal_form(v)
+        if h.entries[: k * k] != IntMatrix.identity(k).entries:
+            raise AssertionError("cochar basis is not saturated")
+        return IntMatrix(k, n, u.entries[: k * n])
 
     def contains(self, x: Point) -> bool:
         if len(x) != self.ambient_dim:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -376,3 +377,115 @@ def test_repo_fixtures_parse():
     for name in ("example_wild.json", "example_fibration.json", "example_dense.json"):
         spec = load_map_spec(str(FIXDIR / name))
         assert spec.to_map().dim == 2
+
+
+# --json bytes (sha256 of stdout) and exit code of each fixture under each
+# command; a change to the serialiser or to a command must keep every one.
+_PINNED_ARGS = {
+    "classify": ["classify", "--json"],
+    "classify-seed": ["classify", "--json", "--seed", "7"],
+    "classify-force-family": ["classify", "--json", "--force-family"],
+    "classify-strict": ["classify", "--json", "--strict"],
+    "classify-text": ["classify"],
+    "fibration": ["fibration", "--json"],
+    "wild": ["wild", "--json"],
+    "decompose": ["decompose", "--json"],
+    "periodic": ["periodic", "--json", "-d", "7"],
+    "orbit": ["orbit", "--json", "--point"],
+    "check-density": ["check-density", "--json", "--point"],
+}
+_PINNED_OUTPUT = {
+    ("example_dense", "classify"): (0, "105b1f1136e4285fc92c600663cdfd501faa1106e6dba24e1b8723aec9d47a52"),
+    ("example_dense", "classify-seed"): (0, "36504c75f1b7b442f9583ea0447d6ad2af2d314b02082d9b0d24c80c8c8d0292"),
+    ("example_dense", "classify-force-family"): (0, "105b1f1136e4285fc92c600663cdfd501faa1106e6dba24e1b8723aec9d47a52"),
+    ("example_dense", "classify-strict"): (0, "105b1f1136e4285fc92c600663cdfd501faa1106e6dba24e1b8723aec9d47a52"),
+    ("example_dense", "classify-text"): (0, "d68bfa0f959abdcbbb87c2ec1704ffdf71273ea8edfa9c871f288b6335645846"),
+    ("example_dense", "fibration"): (0, "9d31500b2525bfce78f482f22f9734e4c0ecc35bbc4b27c504eca2a87b632954"),
+    ("example_dense", "wild"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_dense", "decompose"): (0, "dc80f848551f7ec9c6e9e3cc1fad609c8babb419fb39aaae4e03d807264dc580"),
+    ("example_dense", "periodic"): (0, "2f54f00b38bf9398c305d28d0751559399fcc1d6bbcfaa02e841f7c668970417"),
+    ("example_dense", "orbit"): (0, "44fd0459d149eff1ebda5547d57669264d556e7a7e93c2f46094281d0f027f56"),
+    ("example_dense", "check-density"): (0, "71d8bb89d2a7ed8916aef90c08ec43b85b55dc5902bb37559fdc95ae7ffeb6e7"),
+    ("example_dense3", "classify"): (0, "240c72ab95514440520282c996a8262d8c13f0728f72b6b5afda571bd9274acc"),
+    ("example_dense3", "classify-seed"): (0, "6974f96fbe889497862c1ec5355accd9b83604872605f1b668209c28244a473a"),
+    ("example_dense3", "classify-force-family"): (0, "240c72ab95514440520282c996a8262d8c13f0728f72b6b5afda571bd9274acc"),
+    ("example_dense3", "classify-strict"): (0, "240c72ab95514440520282c996a8262d8c13f0728f72b6b5afda571bd9274acc"),
+    ("example_dense3", "classify-text"): (0, "d87a9b77d865a100ee1b2ff611df41a703c8bc2815c1bc666ffc61e56b2ea267"),
+    ("example_dense3", "fibration"): (0, "9d31500b2525bfce78f482f22f9734e4c0ecc35bbc4b27c504eca2a87b632954"),
+    ("example_dense3", "wild"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_dense3", "decompose"): (0, "29cea047b87d9456985ecd6a2eb1e99e32171a5535836e20bedf95ebe86ea2d2"),
+    ("example_dense3", "periodic"): (0, "181d8463bce72fdb50c5e2855bb306589c761c56d4966ba4741c6c22249e001d"),
+    ("example_dense3", "orbit"): (0, "994d5fd2a25eeb37278ac45d08356c953a6cf837e0e653b1971655c12183b104"),
+    ("example_dense3", "check-density"): (0, "7092cc3723a536bea7d80072f6a6438fa5c8feb0741aec45a13f516286bd5e5c"),
+    ("example_fibration", "classify"): (0, "cd2e15a73b4f3cd6df9cedfd879bb5d9fd02702ca07f591139e635e53e9c3ffc"),
+    ("example_fibration", "classify-seed"): (0, "cd2e15a73b4f3cd6df9cedfd879bb5d9fd02702ca07f591139e635e53e9c3ffc"),
+    ("example_fibration", "classify-force-family"): (0, "cd2e15a73b4f3cd6df9cedfd879bb5d9fd02702ca07f591139e635e53e9c3ffc"),
+    ("example_fibration", "classify-strict"): (0, "cd2e15a73b4f3cd6df9cedfd879bb5d9fd02702ca07f591139e635e53e9c3ffc"),
+    ("example_fibration", "classify-text"): (0, "d67e808d4b8b4ad7b5bb8502a87aec57cd1cbbe93cb4c176330a29deca2f9c5f"),
+    ("example_fibration", "fibration"): (0, "8bb9327ddba4c6362d8927bd354f8e81ba1cce5659d8c0feb749db18f8777c68"),
+    ("example_fibration", "wild"): (0, "00d81cba057d52796af630c061074007181abfdddadee1ef7bfe37d661120adf"),
+    ("example_fibration", "decompose"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_fibration", "periodic"): (0, "a085fe639fe54c8cbdd104c3d59a68730d23e2a16f4c1d5f7ca4c0f6b3dc4da7"),
+    ("example_fibration", "orbit"): (0, "a91f27682cd8e7963a94930d3e652e13daff982a87c15b363f8818a343e83835"),
+    ("example_fibration", "check-density"): (0, "870d00947d78253f3921c0d2b9fca1361a52b006ca351b4ac2d74aeff252839d"),
+    ("example_shear_wild", "classify"): (0, "14296e74f0724d1aeb2b5fcb4e315be52a7448480ab856cd4e55b006bf6798f8"),
+    ("example_shear_wild", "classify-seed"): (0, "14296e74f0724d1aeb2b5fcb4e315be52a7448480ab856cd4e55b006bf6798f8"),
+    ("example_shear_wild", "classify-force-family"): (0, "14296e74f0724d1aeb2b5fcb4e315be52a7448480ab856cd4e55b006bf6798f8"),
+    ("example_shear_wild", "classify-strict"): (0, "14296e74f0724d1aeb2b5fcb4e315be52a7448480ab856cd4e55b006bf6798f8"),
+    ("example_shear_wild", "classify-text"): (0, "791e7744b96054dce9ef73f61c2bf760605c9302ba7e990e57952108460b18cd"),
+    ("example_shear_wild", "fibration"): (0, "9d31500b2525bfce78f482f22f9734e4c0ecc35bbc4b27c504eca2a87b632954"),
+    ("example_shear_wild", "wild"): (0, "ed3efca0d07731639106cc20339cfcda4475e1847004242323bb8fde4d0da7a0"),
+    ("example_shear_wild", "decompose"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_shear_wild", "periodic"): (0, "b32e738bf539c03b9bd22ec6fc78c48b2111c480e33ed66e9abc28bd71b42a41"),
+    ("example_shear_wild", "orbit"): (0, "622d07ec9eaaaf08be68936c231a692bc50838bb61d54c28f81413226e6b90b3"),
+    ("example_shear_wild", "check-density"): (0, "44d973fc29731ffc3742bfb870360a7bda09fc204a3cae65271e63c8a3f8c1ae"),
+    ("example_torsion_fibration", "classify"): (0, "3fb354b5f592469b19f66c3e860576dcc811f87f383f9ba17853bd5869653d98"),
+    ("example_torsion_fibration", "classify-seed"): (0, "3fb354b5f592469b19f66c3e860576dcc811f87f383f9ba17853bd5869653d98"),
+    ("example_torsion_fibration", "classify-force-family"): (0, "3fb354b5f592469b19f66c3e860576dcc811f87f383f9ba17853bd5869653d98"),
+    ("example_torsion_fibration", "classify-strict"): (0, "3fb354b5f592469b19f66c3e860576dcc811f87f383f9ba17853bd5869653d98"),
+    ("example_torsion_fibration", "classify-text"): (0, "b2afe356b58317c2c718b651f1bf1c6ccdaba0fd2d46ebb53e21270a87ad292b"),
+    ("example_torsion_fibration", "fibration"): (0, "a0c575bd88922296af3b0dd0474efc6473428b1b25c7a7e8a243f1efc948de19"),
+    ("example_torsion_fibration", "wild"): (0, "4b065d4645325cc4afd2ed250cd739cd2f3f78a52478fa6feb36dbedcdfcbb62"),
+    ("example_torsion_fibration", "decompose"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_torsion_fibration", "periodic"): (0, "a085fe639fe54c8cbdd104c3d59a68730d23e2a16f4c1d5f7ca4c0f6b3dc4da7"),
+    ("example_torsion_fibration", "orbit"): (0, "cab92c7e3eafbb53ef04a93dc480e8d00e3b59c556231bedc24d76b0a657b418"),
+    ("example_torsion_fibration", "check-density"): (0, "fe5ba27330a77771db0a4760401bd2410c4ca304f26f937605be23dc6f3c2b05"),
+    ("example_wild", "classify"): (0, "0c826756ab5c74b16af0d70d12ece968e637e150875e0455c9f0235306627d21"),
+    ("example_wild", "classify-seed"): (0, "0c826756ab5c74b16af0d70d12ece968e637e150875e0455c9f0235306627d21"),
+    ("example_wild", "classify-force-family"): (0, "0c826756ab5c74b16af0d70d12ece968e637e150875e0455c9f0235306627d21"),
+    ("example_wild", "classify-strict"): (0, "0c826756ab5c74b16af0d70d12ece968e637e150875e0455c9f0235306627d21"),
+    ("example_wild", "classify-text"): (0, "0378678c6bd41da04877a7876ad953156843c8df28defa00324b12d086cb64d9"),
+    ("example_wild", "fibration"): (0, "9d31500b2525bfce78f482f22f9734e4c0ecc35bbc4b27c504eca2a87b632954"),
+    ("example_wild", "wild"): (0, "0c52e428a24e0edd5b030cffbe6883e177b6254be7a1985fc56e9965220dca56"),
+    ("example_wild", "decompose"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_wild", "periodic"): (0, "a085fe639fe54c8cbdd104c3d59a68730d23e2a16f4c1d5f7ca4c0f6b3dc4da7"),
+    ("example_wild", "orbit"): (0, "cc4ebf6ef18c679b7f3c7928330e92d8b9f3ee5172964dd29536202f580f2c40"),
+    ("example_wild", "check-density"): (0, "81830617d01ef759f459d043f77c8909ed03e92b4295a950b2e41b63072eaa20"),
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, variant", sorted(_PINNED_OUTPUT), ids=[f"{f}-{v}" for f, v in sorted(_PINNED_OUTPUT)]
+)
+def test_json_bytes_pinned(capsys, fixture, variant):
+    path = FIXDIR / f"{fixture}.json"
+    cmd, *rest = _PINNED_ARGS[variant]
+    if rest[-1:] == ["--point"]:
+        rest.append(",".join(("2", "3", "5")[: len(json.loads(path.read_text())["gamma"])]))
+    rc = main([cmd, str(path), *rest])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (rc, digest) == _PINNED_OUTPUT[fixture, variant]
+
+
+def test_spec_may_set_the_default_seed(tmp_path, capsys):
+    doc = {"matrix": [[2, 1], [1, 1]], "gamma": ["1", "1"]}
+    runs = [
+        ["classify", _write_spec(tmp_path, {**doc, "options": {"seed": 0}}, "seed0.json"), "--json"],
+        ["classify", _write_spec(tmp_path, doc, "plain.json"), "--json"],
+        ["classify", _write_spec(tmp_path, doc, "plain.json"), "--json", "--seed", "0"],
+    ]
+    outs = []
+    for argv in runs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]

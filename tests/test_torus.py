@@ -251,3 +251,20 @@ def test_subtorus_saturation_check_matches_saturation():
             with pytest.raises(ValueError, match="saturated"):
                 Subtorus(n, lat)
     assert min(seen.values()) >= 50
+
+
+def test_cochar_left_inverse_from_one_hermite_form():
+    # W is read off the Hermite form of the cochar basis V: W * V = I for
+    # subtori of every dimension, and a V whose column lattice is not
+    # saturated has no integral left inverse and is refused
+    rng = random.Random(406)
+    for _ in range(120):
+        n, k = rng.randint(1, 5), rng.randint(0, 5)
+        s = Subtorus.from_cochar_columns(IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], k))
+        w = s._cochar_left_inverse
+        assert (w.rows, w.cols) == (s.dim, n)
+        assert w * s.cochar_basis == IntMatrix.identity(s.dim)
+    s = Subtorus.full(2)
+    s.__dict__["cochar_basis"] = IntMatrix.from_rows([[2, 0], [0, 1]])
+    with pytest.raises(AssertionError, match="not saturated"):
+        s._cochar_left_inverse
