@@ -141,11 +141,14 @@ _LENGTH_FLAGS = {"orbit": "length", "check-density": "budget"}
 
 
 def _check_flags(args) -> None:
-    """Every subcommand takes the cap flags; reject non-positive values on all of them."""
+    """Every subcommand takes the cap flags and --seed; reject a non-positive cap
+    or a negative seed (as in a spec) on all of them."""
     for key in _CAP_FLAGS:
         flag = getattr(args, key)
         if flag is not None and flag <= 0:
             raise ParseError(f"--{key.replace('_', '-')} must be positive")
+    if args.seed is not None and args.seed < 0:
+        raise ParseError("option 'seed' must be non-negative")
     if args.command == "periodic" and args.budget <= 0:
         raise ParseError("--budget must be positive")
     length = _LENGTH_FLAGS.get(args.command)

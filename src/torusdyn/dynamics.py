@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OracleError, PreconditionError
@@ -35,7 +35,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, from_parts, layer_orders, layers_of
+from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, from_parts, layers_of
 from .kummer import one_point, prime_parts
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
 from .torus import (
@@ -682,24 +682,21 @@ def sample_family_points(
 
     pts: list[PointLayers] = []
     seen: set[tuple] = set()  # torsion is reduced mod den, so equal points have equal layers
-    pool_lcm, denoms = 1, {}
+    # cost accounting mirrors the density test, which divides the pool by its
+    # first point (the anchor) before embedding: per layer, the gcd of den with
+    # every accepted x - anchor, so the pooled torsion lcm is den // gcds[0] and
+    # each prime's exponent denominator lcm is den // gcds[k]
+    gcds = [den] * (len(primes) + 1)
     for x in candidates():
         key = tuple(map(tuple, x))
         if key in seen:
             continue
-        # cost accounting mirrors the density test, which divides the pool by
-        # its first point before embedding
-        rel = [[a - b for a, b in zip(u, v)] for u, v in zip(x, pts[0] if pts else x)]
-        torsion_lcm, needed = layer_orders(den, primes, [rel])
-        new_lcm = math.lcm(pool_lcm, torsion_lcm)
-        new_denoms = dict(denoms)
-        for q, n_q in needed.items():
-            new_denoms[q] = math.lcm(new_denoms.get(q, 1), n_q)
-        if new_lcm <= torsion_lcm_cap and math.prod(new_denoms.values()) <= radical_cost_cap:
+        anchor = pts[0] if pts else x
+        new = [math.gcd(g, *map(sub, u, v)) for g, u, v in zip(gcds, x, anchor)]
+        if den // new[0] <= torsion_lcm_cap and math.prod(den // g for g in new[1:]) <= radical_cost_cap:
             seen.add(key)
             pts.append(x)
-            pool_lcm = new_lcm
-            denoms.update(new_denoms)
+            gcds = new
         if len(pts) >= cap:
             break
     return den, primes, pts

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OracleError, PreconditionError
@@ -132,18 +132,25 @@ def numeric_roots(p: IntPoly, tol: float = 1e-9) -> list[complex]:
 # -- modular embeddings ------------------------------------------------------------
 
 
-def _generator_mod(q: int) -> int:
-    fac = []
-    m = q - 1
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    out = []
     f = 2
-    while f * f <= m:
-        if m % f == 0:
-            fac.append(f)
-            while m % f == 0:
-                m //= f
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
         f += 1
-    if m > 1:
-        fac.append(m)
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _generator_mod(q: int) -> int:
+    fac = [p for p, _ in _factor(q - 1)]
     for g in range(2, q):
         if all(pow(g, (q - 1) // pf, q) != 1 for pf in fac):
             return g
@@ -151,26 +158,47 @@ def _generator_mod(q: int) -> int:
 
 
 def _discrete_logs(q: int, g: int, hs: list[int]) -> list[int]:
-    """Baby-step giant-step solutions of g^x = h (mod q), one baby-step table for every h."""
-    if not hs:
-        return []
-    m = math.isqrt(q - 1) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * g % q
-    factor = pow(g, -m, q)
-    logs = []
-    for h in hs:
-        y = h % q
-        for i in range(m):
-            if y in table:
-                logs.append((i * m + table[y]) % (q - 1))
-                break
-            y = y * factor % q
-        else:
-            raise AssertionError("discrete log not found")
+    """Pohlig-Hellman solutions x in [0, q - 1) of g^x = h (mod q) for a generator g.
+
+    For each prime power p^e exactly dividing q - 1, x mod p^e is read one
+    base-p digit at a time in the subgroup of order p, by baby-step
+    giant-step against one table of ceil(sqrt(p)) entries that every h
+    shares; the residues are combined by the CRT.  q - 1 is smooth for the
+    primes :func:`build_embedding` picks, so the tables stay small.
+    """
+    n = q - 1
+    xs = [0] * len(hs)
+    for p, e in _factor(n):
+        pe = p**e
+        gamma = pow(g, n // p, q)  # of order p
+        m = math.isqrt(p - 1) + 1
+        table = {}
+        cur = 1
+        for j in range(m):  # m <= p, so the entries are distinct
+            table[cur] = j
+            cur = cur * gamma % q
+        giant = pow(gamma, -m, q)
+        g_inv = pow(g, -(n // pe), q)  # inverse of a generator of the subgroup of order p^e
+        crt = n // pe * pow(n // pe, -1, pe)
+        for k, h in enumerate(hs):
+            y = pow(h, n // pe, q)
+            r = 0
+            for i in range(e):
+                # y = g^((n / p^e) * (x - r)), p^i | x - r: its p^(e-1-i)-th power is gamma^digit
+                z = pow(y, p ** (e - 1 - i), q)
+                for a in range(m):
+                    if z in table:
+                        break
+                    z = z * giant % q
+                else:
+                    raise AssertionError("discrete log not found")
+                d = (a * m + table[z]) % p
+                y = y * pow(g_inv, d * p**i, q) % q
+                r += d * p**i
+            xs[k] += r * crt
+    logs = [x % n for x in xs]
+    for x, h in zip(logs, hs):
+        assert pow(g, x, q) == h % q
     return logs
 
 
@@ -529,7 +557,7 @@ def hypersurface_containment(
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals
     first = layers[0]
-    moved = [[[x - y for x, y in zip(u, v)] for u, v in zip(pt, first)] for pt in layers]
+    moved = [[list(map(sub, u, v)) for u, v in zip(pt, first)] for pt in layers]
     torsion_lcm, needed = layer_orders(den, primes, moved)
     steps = _monomial_steps(monos)
     rng = random.Random(seed)

@@ -228,6 +228,15 @@ def test_every_subcommand_takes_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_flag_exits_2_on_every_subcommand(tmp_path, capsys):
+    # Random(-s) draws the same stream as Random(s), so a negative seed would
+    # silently repeat a positive one; it is refused as in a spec
+    spec = _write_spec(tmp_path, WILD)
+    for cmd, *extra in SUBCOMMANDS:
+        assert main([cmd, spec, *extra, "--seed", "-3"]) == 2, cmd
+        assert "option 'seed' must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_periodic_budget_must_be_positive(tmp_path, capsys, value):
     assert main(["periodic", _write_spec(tmp_path, DENSE), "-d", "7", "--budget", value]) == 2

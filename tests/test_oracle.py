@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from torusdyn.oracle import (
     ModularEmbedding,
     _discrete_logs,
     _evaluation_rows,
+    _factor,
     _generator_mod,
     _monomial_steps,
     _monomials,
@@ -143,12 +145,43 @@ def _log_cases(draw):
 @given(_log_cases())
 @example((1149037, _generator_mod(1149037), [2, 3, 5, 7, 1149036]))
 @example((44809381, _generator_mod(44809381), [2, 3, 44809380]))
+@example((65537, _generator_mod(65537), [2, 3, 5, 7, 65536]))  # q - 1 = 2^16
+@example((7340033, _generator_mod(7340033), [2, 3, 11, 7340032]))  # q - 1 = 7 * 2^20
+@example((12289, pow(_generator_mod(12289), 5, 12289), [2, 3, 6144, 12288]))  # q - 1 = 3 * 2^12
 def test_shared_baby_steps_match_reference_log(case):
     q, g, hs = case
     logs = _discrete_logs(q, g, hs)
     assert logs == [reference_discrete_log(q, g, h) for h in hs]
     assert all(pow(g, x, q) == h % q for x, h in zip(logs, hs))
     assert _discrete_logs(q, g, []) == []
+
+
+def test_discrete_logs_work_with_the_largest_prime_of_q_minus_1():
+    # a 76-bit prime with smooth q - 1: baby-step giant-step over the whole
+    # group would need about 2^38 table entries, Pohlig-Hellman one per digit
+    # against tables of at most ceil(sqrt(1019)) = 32
+    q = 2**20 * 3**10 * 5**6 * 7**3 * 11 * 13 * 1019 + 1
+    assert is_prime(q) and _factor(q - 1) == [(2, 20), (3, 10), (5, 6), (7, 3), (11, 1), (13, 1), (1019, 1)]
+    g = _generator_mod(q)
+    hs = [2, 3, 5, 7, q - 1]
+    start = time.perf_counter()
+    logs = _discrete_logs(q, g, hs)
+    assert time.perf_counter() - start < 2
+    assert all(0 <= x < q - 1 and pow(g, x, q) == h for x, h in zip(logs, hs))
+    assert logs[-1] == (q - 1) // 2
+
+
+def test_factor_matches_brute_force():
+    assert _factor(1) == []
+    for n in range(2, 5001):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
+        want = []
+        for p in primes:
+            e = 0
+            while n % p ** (e + 1) == 0:
+                e += 1
+            want.append((p, e))
+        assert _factor(n) == want, n
 
 
 def test_embedding_is_homomorphism():
