@@ -13,7 +13,6 @@ from .dynamics import (
     find_invariant_fibration,
     invariant_family,
     periodic_torsion_points,
-    recursive_classification,
     wildness_certificate,
 )
 from .oracle import (
@@ -51,7 +50,6 @@ __all__ = [
     "find_invariant_fibration",
     "invariant_family",
     "periodic_torsion_points",
-    "recursive_classification",
     "wildness_certificate",
     "finite_model_run",
     "hypersurface_containment",

@@ -14,8 +14,8 @@ check-density.  Machine-readable output (--json) is canonical: identical
 spec and seed give byte-identical bytes.  A report's JSON is its dataclass
 fields, apart from the exceptions in _FIELD_EXCEPTIONS.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 oracle
-UNDECIDED under --strict.
+Exit codes: 0 success, 2 parse error, 3 precondition violation or exhausted
+memory or recursion depth, 4 oracle UNDECIDED under --strict.
 """
 
 from __future__ import annotations
@@ -182,6 +182,7 @@ _FIELD_EXCEPTIONS = {
     (dynamics.Decomposition, "conjugated_phi2"): ("conjugated_translation", attrgetter("conjugated_phi2.translation")),
     (dynamics.ClassificationReport, "degree"): ("dynamical_degree", attrgetter("degree")),
     (dynamics.ClassificationReport, "family"): ("invariant_family", attrgetter("family")),
+    (dynamics.CosetFamily, "cycle"): ("cycle", attrgetter("cycle")),
 }
 _TEXT_LEAVES = (Fraction, KummerNumber, IntPoly)
 
@@ -418,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 4
+    except (MemoryError, RecursionError) as exc:
+        resource = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+        print(f"resource exhausted: out of {resource} ({type(exc).__name__})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -35,8 +36,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, from_parts, layers_of
-from .kummer import one_point, prime_parts
+from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, layers_of, one_point
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
 from .torus import (
     AffineMonomialMap,
@@ -476,14 +476,28 @@ class CosetFamily:
 
     The cycle arises from one orbit of torsion points of exact order
     ``torsion_order`` in the hyperbolic factor; phi maps each coset onto the
-    next, cyclically.
+    next, cyclically.  Every coset translates the one subtorus ``torus``, and
+    the family stores the bases as exponent layers (den, primes, one
+    PointLayers per coset).  ``cycle`` decodes them into cosets when first
+    read; equality compares the layers and decodes nothing.
     """
 
     torsion_order: int
     orbit_exponents: tuple[tuple[int, ...], ...]
-    cycle: tuple[Coset, ...]
-    # the cycle's bases as exponent layers (den, primes, one PointLayers per coset)
-    layers: tuple[int, tuple[int, ...], list[PointLayers]] = field(compare=False, repr=False)
+    # left out of the repr and the JSON, which show the decoded cycle instead
+    torus: Subtorus = field(repr=False)
+    layers: tuple[int, tuple[int, ...], list[PointLayers]] = field(repr=False)
+
+    @cached_property
+    def cycle(self) -> tuple[Coset, ...]:
+        den, primes, bases = self.layers
+        return tuple(Coset(from_layers(den, primes, x), self.torus) for x in bases)
+
+    def __repr__(self) -> str:
+        return (
+            f"CosetFamily(torsion_order={self.torsion_order!r}, "
+            f"orbit_exponents={self.orbit_exponents!r}, cycle={self.cycle!r})"
+        )
 
 
 def _torsion_orbits_exact_order(a2: IntMatrix, d: int, vectors: Iterable | None = None) -> Iterator[list[tuple]]:
@@ -533,7 +547,8 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
     source gave the same cycle, it yields that earlier family with False.
     phi carries x1 onto itself (checked once here), so the image of a coset
     is x1 translated by the image of its base, and the cycle is the orbit of
-    the base on the exponent layers.  It closes when the base's projection
+    the base on the exponent layers; the family keeps the bases as those
+    layers and decodes none of them.  It closes when the base's projection
     to T/x1 (its character values under x1's annihilator basis) returns,
     which certifies invariance of the union; the same projections, as
     rational values, identify the cycle for deduplication.
@@ -556,23 +571,13 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
     # a trivial x1 has the identity as annihilator basis: T/x1 is T itself
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
 
-    # the shared prime trajectory over den_b, extended as the longest cycle needs:
-    # each step's prime layers and decoded prime parts
-    exps, parts = [], []
-
-    def reach(k: int) -> None:
-        while len(exps) <= k:
-            e = _prime_step(rows, exps[-1], gamma_e) if exps else beta_e
-            exps.append(e)
-            parts.append(prime_parts(den_b, primes, e, phi.dim))
+    # the shared prime trajectory over den_b, extended as the longest cycle needs
+    exps = [beta_e, _prime_step(rows, beta_e, gamma_e)]
 
     # x1 is invariant, so its annihilator basis P has P*A = A'*P, and P*e_(k+1) = A'*P*e_k + P*g:
     # a first step that fixes P*e_0 fixes it at every step
-    def project(e: list[list[int]]) -> list[list[int]]:
-        return [[sum(map(mul, row, layer)) for row in dec.x1.annihilator.basis] for layer in e]
-
-    reach(1)
-    if project(exps[0]) != project(exps[1]):
+    first, second = ([[sum(map(mul, row, layer)) for row in dec.x1.annihilator.basis] for layer in e] for e in exps)
+    if first != second:
         raise AssertionError("the shared prime layers do not project to a fixed point of T/x1")
 
     built: dict[frozenset, CosetFamily] = {}
@@ -582,7 +587,6 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
         s = den // den_b
         beta, gamma = [v * s for v in beta_t], [v * s for v in gamma_t]
         v2d = [[a * (den // d) for a in row] for row in v2]  # torsion layer of x2.embed(u / d): v2d * u
-        fractions: dict[int, Fraction] = {}  # torsion Fractions over den
         for orbit in orbits:
             cur = [(sum(map(mul, row, orbit[0])) + b) % den for row, b in zip(v2d, beta)]
             tors, projections = [], []
@@ -601,10 +605,10 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
             if key in built:
                 yield built[key], False
                 continue
-            reach(len(tors) - 1)
-            cycle = tuple(Coset(from_parts(den, t, p, fractions), dec.x1) for t, p in zip(tors, parts))
+            while len(exps) < len(tors):
+                exps.append(_prime_step(rows, exps[-1], gamma_e))
             bases = [[t] + [[v * s for v in layer] for layer in e] for t, e in zip(tors, exps)]
-            built[key] = CosetFamily(d, tuple(orbit), cycle, (den, primes, bases))
+            built[key] = CosetFamily(d, tuple(orbit), dec.x1, (den, primes, bases))
             yield built[key], True
 
     return dec, cycles
@@ -656,7 +660,7 @@ def sample_family_points(
     rng = random.Random(seed)
     seed_primes = (2, 3, 5, 7)  # the coordinates of points along x1 are powers of these
     den = math.lcm(*(fam.layers[0] for fam in families))
-    seeded = any(c.torus.dim for fam in families for c in fam.cycle)
+    seeded = any(fam.torus.dim for fam in families)
     primes = tuple(sorted({p for fam in families for p in fam.layers[1]}.union(seed_primes if seeded else ())))
     row = {p: k for k, p in enumerate(primes, 1)}
 
@@ -664,15 +668,15 @@ def sample_family_points(
         for fam in families:
             fam_den, fam_primes, fam_layers = fam.layers
             scale = den // fam_den
-            for c, layers in zip(fam.cycle, fam_layers):
+            k = fam.torus.dim
+            v1 = fam.torus.cochar_basis.to_rows() if k else []
+            for layers in fam_layers:
                 base = [[v * scale for v in layers[0]]] + [[0] * len(layers[0]) for _ in primes]
                 for p, layer in zip(fam_primes, layers[1:]):
                     base[row[p]] = [v * scale for v in layer]
                 yield base
-                k = c.torus.dim
                 if k == 0:
                     continue  # a point coset: every sample is the base, and no seed is drawn
-                v1 = c.torus.cochar_basis.to_rows()
                 for _ in range(per_coset - 1):
                     x = [list(layer) for layer in base]
                     for i in range(k):
@@ -766,7 +770,7 @@ def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tup
     taken: dict[int, tuple[CosetFamily, bool]] = {}  # by id: two orbits can give one cycle
     for fam, fresh in cycles(d, _torsion_orbits_exact_order(dec.a2, d, vectors)):
         taken.setdefault(id(fam), (fam, fresh))
-        cosets = sum(len(f.cycle) for f, _ in taken.values())
+        cosets = sum(len(f.layers[2]) for f, _ in taken.values())
         if len(taken) >= config.family_budget or cosets >= config.point_budget:
             break
     return list(taken.values())
@@ -852,78 +856,4 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
         family=family,
         density=density,
         flags=tuple(flags),
-    )
-
-
-# -- recursive fibration analysis ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecursionNode:
-    """One level of the recursive invariant-locus analysis.
-
-    At each node the map is normalized so its minimal polynomial has only 1
-    among its roots of unity; if an invariant monomial function remains, the
-    analysis restricts to the kernel subtorus of the (primitive) witness
-    character and recurses, otherwise the node is a leaf carrying the
-    classification verdict.  ``alternative`` is 1 when the dynamical degree
-    exceeds one (dense proper invariant locus) and 2 when it equals one
-    (closed invariant locus).
-    """
-
-    dim: int
-    map: AffineMonomialMap
-    normalize_iterate: int
-    alternative: int
-    witness: FibrationWitness | None
-    restriction_iterate: int | None
-    verdict: str | None
-    depth_exhausted: bool
-    child: "RecursionNode | None"
-
-
-def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*vec)
-    return tuple(x // g for x in vec)
-
-
-def recursive_classification(
-    phi: AffineMonomialMap, depth_cap: int, config: ClassifyConfig = ClassifyConfig()
-) -> RecursionNode:
-    """Recursively peel invariant fibrations and classify the fibers."""
-    if depth_cap < 1:
-        raise PreconditionError("depth_cap must be >= 1")
-    spectrum = spectral_data(phi.matrix)
-    degree = dynamical_degree(phi, config.rel_tol, spectrum)
-    alternative = 2 if degree.exact_one else 1
-
-    l0, norm = _normalized(phi, spectrum)
-    witness = find_invariant_fibration(norm, config.iterate_cap)
-
-    verdict = q = child = None
-    if witness is None:
-        verdict = classify(phi, config).verdict
-    else:
-        assert witness.iterate == 1, "normalization leaves only iterate-1 witnesses"
-        bprim = _primitive(witness.character)
-        kernel_torus = Subtorus(phi.dim, Lattice.from_rows(phi.dim, [bprim]))
-        zeta = char_eval(norm.translation, bprim)
-        assert zeta.is_torsion()
-        q = zeta.torsion_order()
-        norm_q = norm.iterate(q) if q > 1 else norm
-        a_e = restrict_endomorphism(norm_q.matrix, kernel_torus)
-        assert a_e is not None
-        g_e = kernel_torus.coordinates_of(norm_q.translation)
-        if depth_cap > 1:
-            child = recursive_classification(AffineMonomialMap(a_e, g_e), depth_cap - 1, config)
-    return RecursionNode(
-        dim=phi.dim,
-        map=phi,
-        normalize_iterate=l0,
-        alternative=alternative,
-        witness=witness,
-        restriction_iterate=q,
-        verdict=verdict,
-        depth_exhausted=witness is not None and child is None,
-        child=child,
     )

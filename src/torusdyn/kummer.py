@@ -157,13 +157,6 @@ class KummerNumber:
             exps[p] = exps.get(p, Fraction(0)) - m
         return KummerNumber.build(t, exps)
 
-    @staticmethod
-    def prime_power(p: int, exponent: Fraction | int) -> KummerNumber:
-        f = factorize(p)
-        if len(f) != 1 or next(iter(f.values())) != 1:
-            raise ValueError(f"{p} is not prime")
-        return KummerNumber.build(0, {p: Fraction(exponent)})
-
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: KummerNumber) -> KummerNumber:
@@ -220,15 +213,6 @@ class KummerNumber:
         if not self.is_torsion():
             return None
         return self.torsion.denominator
-
-    def prime_exponent(self, p: int) -> Fraction:
-        for q, e in self.primes:
-            if q == p:
-                return e
-        return Fraction(0)
-
-    def prime_support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.primes)
 
     # -- printing ----------------------------------------------------------
 
@@ -374,24 +358,10 @@ def layers_of(points: Sequence[Point]) -> tuple[int, tuple[int, ...], list[Point
 def from_layers(den: int, primes: Sequence[int], layers: PointLayers) -> Point:
     """The canonical point with these layers (the torsion layer is read mod den)."""
     tors, *exps = layers
-    return from_parts(den, [t % den for t in tors], prime_parts(den, primes, exps, len(tors)), {})
-
-
-def prime_parts(den: int, primes: Sequence[int], exps: Sequence[list[int]], n: int) -> list[tuple]:
-    """Each of the n coordinates' canonical (prime, exponent) pairs, from its prime layers over den."""
-    return [tuple((p, Fraction(v[j], den)) for p, v in zip(primes, exps) if v[j]) for j in range(n)]
-
-
-def from_parts(den: int, tors: Sequence[int], parts: Sequence[tuple], table: dict[int, Fraction]) -> Point:
-    """The canonical point with torsion layer tors (entries in [0, den)) and prime parts from
-    :func:`prime_parts`; ``table`` keeps the torsion Fractions over den across calls."""
-    out = []
-    for t, ps in zip(tors, parts):
-        f = table.get(t)
-        if f is None:
-            f = table[t] = Fraction(t, den) if t else _ZERO
-        out.append(_canonical(f, ps))
-    return tuple(out)
+    return tuple(
+        _canonical(Fraction(t % den, den), tuple((p, Fraction(v[j], den)) for p, v in zip(primes, exps) if v[j]))
+        for j, t in enumerate(tors)
+    )
 
 
 def layer_orders(den: int, primes: Sequence[int], points: Sequence[PointLayers]) -> tuple[int, dict[int, int]]:

@@ -30,6 +30,11 @@ def rand_kummer(
     return KummerNumber.build(t, exps)
 
 
+def prime_power(p: int, exponent: Fraction | int) -> KummerNumber:
+    """p^exponent for a prime p."""
+    return KummerNumber.build(0, {p: Fraction(exponent)})
+
+
 def rand_point(rng: random.Random, n: int, **kw):
     return tuple(rand_kummer(rng, **kw) for _ in range(n))
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from torusdyn import polyalg
-from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main
+from torusdyn import dynamics, polyalg
+from torusdyn.cli import ORBIT_LENGTH_CAP, load_map_spec, main, to_jsonable
 from torusdyn.intlinalg import IntMatrix, charpoly
 from torusdyn.kummer import PRINT_DIGIT_LIMIT, parse_point
 
@@ -172,6 +172,29 @@ def test_graeffe_cap_exits_4_with_a_message(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 4
     assert "Graeffe" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, resource", [(MemoryError, "memory"), (RecursionError, "recursion depth")])
+def test_exhausted_resource_exits_3_with_a_message(tmp_path, capsys, monkeypatch, error, resource):
+    def exhausted(*args):
+        raise error()
+
+    monkeypatch.setattr(dynamics, "classify", exhausted)
+    rc = main(["classify", _write_spec(tmp_path, DENSE), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert f"out of {resource}" in captured.err and "Traceback" not in captured.err + captured.out
+
+
+def test_text_classify_decodes_no_base(capsys, monkeypatch):
+    reports = []
+    classify = dynamics.classify
+    monkeypatch.setattr(dynamics, "classify", lambda *args: reports.append(classify(*args)) or reports[-1])
+    assert main(["classify", str(FIXDIR / "example_dense.json")]) == 0
+    (report,) = reports
+    assert report.family and not any("cycle" in vars(f) for f in report.family)
+    to_jsonable(report)
+    assert all("cycle" in vars(f) for f in report.family)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from torusdyn.dynamics import (
     find_invariant_fibration,
     invariant_family,
     periodic_torsion_points,
-    recursive_classification,
     sample_family_points,
     wildness_certificate,
 )
@@ -339,39 +338,6 @@ def test_sample_points_lie_on_families():
         if any(membership(p, c) for fam in fams for c in fam.cycle):
             hit += 1
     assert hit == len(pts)
-
-
-def test_recursive_classification_tower():
-    node = recursive_classification(AffineMonomialMap.build([[2, 0], [0, 1]], one_point(2)), 5)
-    assert node.alternative == 1
-    assert node.witness is not None and node.witness.character == (0, 1)
-    assert node.child.dim == 1
-    assert node.child.verdict == VERDICT_DENSE and node.child.alternative == 1
-
-    leaf = recursive_classification(EX_WILD, 3)
-    assert leaf.verdict == VERDICT_WILD and leaf.alternative == 2 and leaf.child is None
-
-    chain = recursive_classification(AffineMonomialMap.build([[1, 0], [0, 1]], one_point(2)), 5)
-    dims = []
-    node = chain
-    while node is not None:
-        dims.append(node.dim)
-        node = node.child
-    assert dims == [2, 1, 0]
-
-    exhausted = recursive_classification(AffineMonomialMap.build([[1, 0], [0, 1]], one_point(2)), 1)
-    assert exhausted.depth_exhausted and exhausted.child is None
-    with pytest.raises(PreconditionError):
-        recursive_classification(EX_WILD, 0)
-
-
-def test_recursion_restriction_uses_torsion_iterate():
-    # the witness character values hit a 3rd root of unity, forcing iterate 3 on the kernel
-    phi = AffineMonomialMap.build([[1, 0], [0, 2]], parse_point(["zeta(3)", "5"]))
-    node = recursive_classification(phi, 4)
-    assert node.witness is not None
-    assert node.restriction_iterate == 3
-    assert node.child.dim == 1
 
 
 _torsions = st.integers(1, 12).flatmap(lambda m: st.integers(0, m - 1).map(lambda k: Fraction(k, m)))

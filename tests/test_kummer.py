@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusdyn.errors import ParseError
 from torusdyn.kummer import KummerNumber, char_eval, factorize, is_prime, parse_kummer, parse_point
 
-from conftest import rand_kummer
+from conftest import prime_power, rand_kummer
 
 K = KummerNumber.from_rational
 zeta = KummerNumber.root_of_unity
@@ -98,7 +98,7 @@ def test_parser_round_trip_random():
 
 
 def test_parser_syntax():
-    assert parse_kummer("zeta(3)^2 * 2/5 * 2^(1/3)") == zeta(3, 2) * K(Fraction(2, 5)) * KummerNumber.prime_power(2, Fraction(1, 3))
+    assert parse_kummer("zeta(3)^2 * 2/5 * 2^(1/3)") == zeta(3, 2) * K(Fraction(2, 5)) * prime_power(2, Fraction(1, 3))
     assert parse_kummer("4^(1/2)") == K(2)
     assert parse_kummer("-1") == zeta(2)
     assert parse_kummer(" 6 ") == K(6)
@@ -125,7 +125,7 @@ def test_factorize_large_prime_factors():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(7 * (10**18 + 3)) == {7: 1, 10**18 + 3: 1}
     assert factorize(999_983**2) == {999_983: 2}  # square of a prime below the trial bound
-    assert parse_kummer("1000000000000000003^(1/2)") == KummerNumber.prime_power(10**18 + 3, Fraction(1, 2))
+    assert parse_kummer("1000000000000000003^(1/2)") == prime_power(10**18 + 3, Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -148,12 +148,12 @@ def test_from_rational_and_sign():
 
 
 def test_printing_folds_integer_powers_below_the_digit_limit():
-    assert str(zeta(3) * K(Fraction(32, 9)) * KummerNumber.prime_power(5, Fraction(1, 2))) == "zeta(3) * 32/9 * 5^(1/2)"
-    at_limit = KummerNumber.prime_power(3, -9012)  # 4300 digits
+    assert str(zeta(3) * K(Fraction(32, 9)) * prime_power(5, Fraction(1, 2))) == "zeta(3) * 32/9 * 5^(1/2)"
+    at_limit = prime_power(3, -9012)  # 4300 digits
     assert str(at_limit) == f"1/{3**9012}"
-    past = KummerNumber.prime_power(3, -9013) * K(2) * KummerNumber.prime_power(5, Fraction(1, 2))
+    past = prime_power(3, -9013) * K(2) * prime_power(5, Fraction(1, 2))
     assert str(past) == "2^1 * 3^-9013 * 5^(1/2)"
-    huge = KummerNumber.prime_power(2, 10**12)
+    huge = prime_power(2, 10**12)
     for x in (at_limit, past, huge):
         assert parse_kummer(str(x)) == x
 
@@ -197,7 +197,7 @@ _points_and_characters = st.integers(1, 4).flatmap(
 )
 _property = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
-_CANCEL_AND_WRAP = (zeta(3, 2) * KummerNumber.prime_power(2, Fraction(1, 2)), zeta(3, 2) * KummerNumber.prime_power(2, Fraction(-1, 2)))
+_CANCEL_AND_WRAP = (zeta(3, 2) * prime_power(2, Fraction(1, 2)), zeta(3, 2) * prime_power(2, Fraction(-1, 2)))
 
 
 @_property
@@ -225,7 +225,7 @@ def test_inverse_matches_build(a):
 @_property
 @given(_points_and_characters)
 @example((list(_CANCEL_AND_WRAP), [1, 1]))
-@example(([KummerNumber.prime_power(2, Fraction(1, 2)), KummerNumber.prime_power(2, Fraction(1, 4))], [1, -2]))
+@example(([prime_power(2, Fraction(1, 2)), prime_power(2, Fraction(1, 4))], [1, -2]))
 def test_char_eval_matches_iterated_products(point_and_character):
     xs, bs = point_and_character
     assert_same_canonical(char_eval(xs, bs), ref_char_eval(xs, bs))

@@ -27,7 +27,7 @@ from torusdyn.oracle import hypersurface_containment
 from torusdyn.polyalg import cyclotomic_part
 from torusdyn.torus import AffineMonomialMap, Coset, coset_cycle_invariant, subtorus_image_under
 
-from conftest import rand_point, rand_unimodular_pair
+from conftest import prime_power, rand_point, rand_unimodular_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,7 +40,7 @@ _coords = st.builds(
 _point_lists = st.integers(0, 4).flatmap(lambda n: st.lists(st.tuples(*[_coords] * n), max_size=5))
 _property = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
-_HALF = KummerNumber.prime_power(2, Fraction(1, 2))
+_HALF = prime_power(2, Fraction(1, 2))
 
 
 @_property
@@ -52,13 +52,13 @@ def test_layers_round_trip(points):
     den, primes, layers = layers_of(points)
     coords = [c for p in points for c in p]
     assert den == math.lcm(*(c.torsion.denominator for c in coords), *(e.denominator for c in coords for _, e in c.primes))
-    assert primes == tuple(sorted({p for c in coords for p in c.prime_support()}))
+    assert primes == tuple(sorted({p for c in coords for p in dict(c.primes)}))
     for pt, x in zip(points, layers):
         assert len(x) == 1 + len(primes) and all(len(v) == len(pt) for v in x)
         assert all(0 <= t < den for t in x[0])
         for j, c in enumerate(pt):
             assert Fraction(x[0][j], den) == c.torsion
-            assert all(Fraction(x[k][j], den) == c.prime_exponent(p) for k, p in enumerate(primes, 1))
+            assert all(Fraction(x[k][j], den) == dict(c.primes).get(p, 0) for k, p in enumerate(primes, 1))
     back = [from_layers(den, primes, x) for x in layers]
     assert back == points and [hash(p) for p in back] == [hash(p) for p in points]
 
@@ -345,9 +345,10 @@ def _lowest_terms(den, x):
 
 def reference_family(phi, budget, torsion_cap=50):
     """invariant_family as it was before the orbits shared one prime trajectory
-    (reference): every orbit steps and projects all of its exponent layers."""
+    (reference): every orbit steps and projects all of its exponent layers.
+    Returns the families and, decoded here from their layers, their cycles."""
     if budget <= 0:
-        return []
+        return [], []
     dec = decompose(phi)
     assert subtorus_image_under(phi.matrix, dec.x1) == dec.x1
     det2 = abs(dec.a2.det())
@@ -355,7 +356,7 @@ def reference_family(phi, budget, torsion_cap=50):
     v2 = dec.x2.cochar_basis.to_rows()
     rows = phi.matrix.to_rows()
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
-    families, seen = [], set()
+    families, cycles, seen = [], [], set()
     for d in range(1, torsion_cap + 1):
         if len(families) >= budget:
             break
@@ -382,11 +383,11 @@ def reference_family(phi, budget, torsion_cap=50):
             if key in seen:
                 continue
             seen.add(key)
-            cycle = tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases)
-            families.append(CosetFamily(d, tuple(orbit), cycle, (den, primes, bases)))
+            cycles.append(tuple(Coset(from_layers(den, primes, b), dec.x1) for b in bases))
+            families.append(CosetFamily(d, tuple(orbit), dec.x1, (den, primes, bases)))
             if len(families) >= budget:
                 break
-    return families
+    return families, cycles
 
 
 # blocks of a block-diagonal matrix: finite-order ones by their order, unipotent
@@ -443,6 +444,7 @@ def test_shared_prime_trajectory_matches_the_full_layer_loop():
         if shape is not None:
             dec = decompose(phi)
             assert (dec.normalize_iterate, dec.x1.dim, phi.dim) == shape, name
-        got, ref = invariant_family(phi, 12), reference_family(phi, 12)
+        got, (ref, ref_cycles) = invariant_family(phi, 12), reference_family(phi, 12)
         assert got == ref and repr(got) == repr(ref), name
         assert [f.layers for f in got] == [f.layers for f in ref], name
+        assert [f.cycle for f in got] == ref_cycles, name
