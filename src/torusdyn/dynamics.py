@@ -176,36 +176,22 @@ def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[Int
 def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
     """All characters b with b*(A^l - I) = 0 and chi_b(gamma_l) = 1, as a lattice.
 
-    The condition chi_b(gamma_l) = 1 splits per exponent layer of gamma_l:
-    one integer linear equation per prime, plus one congruence for the
-    torsion layer.  gamma_l's layers are iterated over gamma's denominator;
-    any common denominator gives the same equations up to a common factor,
-    so the same lattice.
+    On gamma_l's exponent layers over gamma's denominator den (any common
+    denominator gives the same lattice) every condition is linear, so the
+    lattice is the first n coordinates of the saturated left kernel of
+    [[A^l - I | prime layers e | torsion layer t], [0 | 0 | den]]: a kernel
+    row (b, y) means b*(A^l - I) = 0, b*e = 0 and b*t = -y*den.  No kernel
+    row has its pivot at y, since y*den = 0 forces y = 0, so the projected
+    rows are already the lattice's canonical Hermite basis.
     """
     n = phi.dim
     den, _, (layers,) = layers_of([phi.translation])
     al, (tors, *exps) = _iterate_layers(phi.matrix, den, layers, ell)
-    kernel = left_kernel_saturated(al - IntMatrix.identity(n))
-    s = kernel.rank
-    if s == 0:
-        return Lattice.zero(n)
-    basis = kernel.basis  # s rows of length n
-
-    # prime layers: integer matrix whose right kernel is {c : chi_{c*B}(gamma) has no prime part}
-    # (all of Z^s when gamma has no prime part)
-    prime_rows = [[sum(b * e for b, e in zip(row, layer)) for row in basis] for layer in exps]
-    c_lat = left_kernel_saturated(IntMatrix.from_rows(prime_rows, s).transpose())
-    r = c_lat.rank
-    if r == 0:
-        return Lattice.zero(n)
-
-    # torsion layer: congruence sum_m u_m v_m = 0 (mod den) over the c-lattice; its
-    # solutions are the first r coordinates of the integer kernel of the column [v, den]
-    w = [sum(b * t for b, t in zip(row, tors)) for row in basis]
-    v = [sum(c * x for c, x in zip(crow, w)) for crow in c_lat.basis]
-    u_lat = left_kernel_saturated(IntMatrix.from_rows([[x] for x in v + [den]], 1))
-    rows = [vec_mat(vec_mat(u[:r], c_lat.basis_matrix()), IntMatrix.from_rows(basis, n)) for u in u_lat.basis]
-    return Lattice.from_rows(n, rows)
+    eqs = (al - IntMatrix.identity(n)).to_rows()
+    rows = [[*eq, *(e[i] for e in exps), tors[i]] for i, eq in enumerate(eqs)]
+    rows.append([0] * (n + len(exps)) + [den])
+    kernel = left_kernel_saturated(IntMatrix.from_rows(rows))
+    return Lattice(n, tuple(row[:n] for row in kernel.basis))
 
 
 def find_invariant_fibration(
@@ -641,8 +627,8 @@ def sample_family_points(
     seed: int,
     per_coset: int = 3,
     cap: int = 200,
-    torsion_lcm_cap: int = 1_000_000,
-    radical_cost_cap: int = 4000,
+    torsion_lcm_cap: int = oracle.TORSION_LCM_CAP,
+    radical_cost_cap: int = oracle.RADICAL_COST_CAP,
 ) -> tuple[int, tuple[int, ...], list[PointLayers]]:
     """Deterministic sample of points on the family cosets (for density checks).
 

@@ -1,9 +1,10 @@
 """Independent verification: finite models, numeric roots, modular density tests.
 
-Nothing here feeds the exact classification path; these are the cross-checks.
-The one numeric ingredient in the whole package (companion-matrix eigenvalues)
-lives here, as does the randomized-prime machinery, which takes explicit seeds
-so runs are reproducible.
+These are cross-checks, except :func:`hypersurface_containment`, which
+certifies the density evidence of :func:`torusdyn.dynamics.classify`.  The
+one numeric ingredient in the whole package (companion-matrix eigenvalues)
+lives here, as does the randomized-prime machinery, which takes explicit
+seeds so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .polyalg import IntPoly, cyclotomic_part, divisors
 from .torus import AffineMonomialMap
 
 _STATE_SPACE_CAP = 200_000
+
+# Above either, the density test is UNDECIDED before its prime scan: a shifted
+# sample's torsion lcm (q = 1 mod it, and q - 1 is trial-divided) and radical
+# cost (the product of the N_p, about the primes scanned per admissible one).
+TORSION_LCM_CAP = 1_000_000
+RADICAL_COST_CAP = 4000
 
 
 # -- finite dynamical models ---------------------------------------------------
@@ -166,6 +173,8 @@ def _discrete_logs(q: int, g: int, hs: list[int]) -> list[int]:
     shares; the residues are combined by the CRT.  q - 1 is smooth for the
     primes :func:`build_embedding` picks, so the tables stay small.
     """
+    if not hs:
+        return []
     n = q - 1
     xs = [0] * len(hs)
     for p, e in _factor(n):
@@ -529,6 +538,8 @@ def hypersurface_containment(
     included) is pushed through a modular embedding; full column rank modulo
     the chosen prime refutes any vanishing relation in characteristic zero.
     Rank deficits trigger a retry with a fresh prime and finally UNDECIDED.
+    Too few points, or a shifted sample past TORSION_LCM_CAP or
+    RADICAL_COST_CAP, is UNDECIDED with no prime tried.
 
     Each coordinate is embedded straight from its layers and every matrix
     entry is one modular product of an earlier entry of its row with one
@@ -549,16 +560,16 @@ def hypersurface_containment(
     n = len(layers[0][0])
     if any(len(x[0]) != n for x in layers):
         raise PreconditionError("points of mixed dimension")
-    count = math.comb(n + degree_bound, n)  # counted before listing them, which a large D makes infeasible
-    if len(layers) < count:
-        return ContainmentResult("UNDECIDED", degree_bound, len(layers), count, None, None, 0)
-    monos = _monomials(n, degree_bound)
     # translating the whole configuration by a fixed torus element maps the
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals
     first = layers[0]
     moved = [[list(map(sub, u, v)) for u, v in zip(pt, first)] for pt in layers]
     torsion_lcm, needed = layer_orders(den, primes, moved)
+    count = math.comb(n + degree_bound, n)  # counted before listing them, which a large D makes infeasible
+    if len(layers) < count or torsion_lcm > TORSION_LCM_CAP or math.prod(needed.values()) > RADICAL_COST_CAP:
+        return ContainmentResult("UNDECIDED", degree_bound, len(layers), count, None, None, 0)
+    monos = _monomials(n, degree_bound)
     steps = _monomial_steps(monos)
     rng = random.Random(seed)
     attempts = 0

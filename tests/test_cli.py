@@ -351,16 +351,34 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
 
 
+# a torsion order whose q - 1 would be factored by trial division up to 10^9,
+# and a radical whose admissible prime would take ~10^6 candidates to find
+_PAST_THE_DENSITY_CAPS = ["zeta(1000000000000000003),2", "2^(1/999983),3"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, undecided_rc",
     [
-        ["classify", str(FIXDIR / "example_dense3.json"), "--degree-bound", "1000", "--json"],
-        ["check-density", str(FIXDIR / "example_wild.json"), "--point", "2,3", "--degree-bound", "100000", "--json"],
-        ["periodic", str(FIXDIR / "example_dense.json"), "-d", "1000000007", "--json"],
+        (["classify", str(FIXDIR / "example_dense3.json"), "--degree-bound", "1000", "--json"], None),
+        (["check-density", str(FIXDIR / "example_wild.json"), "--point", "2,3", "--degree-bound", "100000", "--json"], None),
+        (["periodic", str(FIXDIR / "example_dense.json"), "-d", "1000000007", "--json"], None),
+    ]
+    + [
+        (["check-density", str(FIXDIR / "example_dense.json"), "--point", point, *strict], rc)
+        for point in _PAST_THE_DENSITY_CAPS
+        for strict, rc in (([], 0), (["--strict"], 4))
     ],
-    ids=["classify-degree-bound", "check-density-degree-bound", "periodic-large-modulus"],
+    ids=[
+        "classify-degree-bound",
+        "check-density-degree-bound",
+        "periodic-large-modulus",
+        "check-density-torsion-cap",
+        "check-density-torsion-cap-strict",
+        "check-density-radical-cap",
+        "check-density-radical-cap-strict",
+    ],
 )
-def test_hostile_repros_end_in_bounded_time(argv):
+def test_hostile_repros_end_in_bounded_time(argv, undecided_rc):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "torusdyn.cli", *argv],
@@ -372,6 +390,8 @@ def test_hostile_repros_end_in_bounded_time(argv):
     )
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert "Traceback" not in proc.stderr
+    if undecided_rc is not None:
+        assert proc.returncode == undecided_rc and "UNDECIDED" in proc.stdout, proc.stderr
 
 
 def test_import_leaves_numpy_unloaded():

@@ -317,6 +317,19 @@ def test_classify_force_family():
         assert coset_cycle_invariant(phi, fam.cycle)
 
 
+@pytest.mark.parametrize("rows, gamma", [([[-1]], ["1"]), ([[0, -1], [1, 0]], ["2", "1"])])
+def test_classify_finds_a_fibration_beyond_the_iterate_cap(rows, gamma):
+    # the witness iterate (2, resp. 4) is past the cap, so the search finds
+    # nothing and wildness_certificate's refutation supplies the witness
+    phi = AffineMonomialMap.build(rows, parse_point(gamma))
+    rep = classify(phi, ClassifyConfig(iterate_cap=1))
+    assert rep.verdict == VERDICT_FIBRATION and rep.wildness is None
+    assert rep.flags == ("fibration witness found beyond iterate cap 1",)
+    witness = rep.fibration
+    assert witness.iterate > 1 and witness.verify(phi)
+    assert _fixed_character_lattice(phi, witness.iterate).contains(witness.character)
+
+
 def test_classify_non_automorphism_degree_one():
     # doubling map: quasi-unipotent would need |det| = 1; here A = 2I is degree 2
     phi = AffineMonomialMap.build([[2, 0], [0, 2]], parse_point(["5", "7"]))
@@ -362,6 +375,22 @@ FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 # degree-one blocks (finite order or unipotent) and one expanding block, for maps whose A^l - I has a kernel
 _BLOCKS = [[[1]], [[-1]], [[2]], [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, 1], [0, 1]]]
+
+
+def test_fixed_character_lattice_is_one_kernel(monkeypatch):
+    # one saturated kernel per (map, l), also where A^l - I or the prime layers leave nothing
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return left_kernel_saturated(m)
+
+    monkeypatch.setattr(dynamics, "left_kernel_saturated", counting)
+    for phi in (EX_WILD, EX_SHEAR, EX_HYPER, AffineMonomialMap.build([[-1]], parse_point(["zeta(3)"]))):
+        for ell in (1, 2, 6):
+            calls.clear()
+            _fixed_character_lattice(phi, ell)
+            assert len(calls) == 1 and calls[0].rows == phi.dim + 1
 
 
 def test_fixed_character_lattice_brute_force():

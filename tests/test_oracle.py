@@ -12,6 +12,7 @@ from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_family_points
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
+from torusdyn import oracle
 from torusdyn.kummer import char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
     ModularEmbedding,
@@ -219,6 +220,32 @@ def test_containment_counts_monomials_before_listing_them():
     res = hypersurface_containment(pts, 10**6, seed=0)
     assert (res.status, res.point_count, res.monomial_count, res.attempts) == ("UNDECIDED", 2, math.comb(10**6 + 3, 3), 0)
     assert hypersurface_containment(pts, 2, seed=0).monomial_count == 10
+
+
+@pytest.mark.parametrize(
+    "second, tried",
+    [
+        ("zeta(1000000)", True),  # torsion lcm at TORSION_LCM_CAP
+        ("zeta(1000001)", False),
+        ("5^(1/999983) * 2^(1/4000)", True),  # radical cost at RADICAL_COST_CAP once the first point is divided out
+        ("5^(1/999983) * 2^(1/4001)", False),
+    ],
+)
+def test_containment_caps_decide_before_any_prime(second, tried, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_embedding(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_embedding", counting)
+    first = "5^(1/999983)" if "5^" in second else "1"
+    res = hypersurface_containment(layers_of([parse_point([first]), parse_point([second])]), 1, seed=0)
+    assert oracle.TORSION_LCM_CAP == 10**6 and oracle.RADICAL_COST_CAP == 4000
+    if tried:
+        assert calls and res.attempts >= 1
+    else:
+        assert not calls and (res.status, res.attempts) == ("UNDECIDED", 0)
 
 
 def test_containment_vertical_cosets():
