@@ -223,15 +223,16 @@ def test_containment_counts_monomials_before_listing_them():
 
 
 @pytest.mark.parametrize(
-    "second, tried",
+    "first, second, tried",
     [
-        ("zeta(1000000)", True),  # torsion lcm at TORSION_LCM_CAP
-        ("zeta(1000001)", False),
-        ("5^(1/999983) * 2^(1/4000)", True),  # radical cost at RADICAL_COST_CAP once the first point is divided out
-        ("5^(1/999983) * 2^(1/4001)", False),
+        ("1", "zeta(1000000)", True),  # torsion lcm at TORSION_LCM_CAP
+        ("1", "zeta(1000001)", False),
+        # radical cost at RADICAL_COST_CAP once the shared 5^(1/999983) is divided out
+        ("5^(1/999983)", "5^(1/999983) * 2^(1/4000)", True),
+        ("5^(1/999983)", "5^(1/999983) * 2^(1/4001)", False),
     ],
 )
-def test_containment_caps_decide_before_any_prime(second, tried, monkeypatch):
+def test_containment_caps_decide_before_any_prime(first, second, tried, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -239,7 +240,6 @@ def test_containment_caps_decide_before_any_prime(second, tried, monkeypatch):
         return build_embedding(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "build_embedding", counting)
-    first = "5^(1/999983)" if "5^" in second else "1"
     res = hypersurface_containment(layers_of([parse_point([first]), parse_point([second])]), 1, seed=0)
     assert oracle.TORSION_LCM_CAP == 10**6 and oracle.RADICAL_COST_CAP == 4000
     if tried:
