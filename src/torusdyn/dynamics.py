@@ -173,19 +173,22 @@ def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[Int
         square = compose(square, square)
 
 
-def _fixed_character_lattice(phi: AffineMonomialMap, ell: int) -> Lattice:
+def _fixed_character_lattice(
+    phi: AffineMonomialMap, ell: int, gamma_layers: tuple[int, tuple[int, ...], list[PointLayers]] | None = None
+) -> Lattice:
     """All characters b with b*(A^l - I) = 0 and chi_b(gamma_l) = 1, as a lattice.
 
-    On gamma_l's exponent layers over gamma's denominator den (any common
-    denominator gives the same lattice) every condition is linear, so the
-    lattice is the first n coordinates of the saturated left kernel of
+    On gamma_l's exponent layers over gamma's denominator den (``gamma_layers``,
+    when the caller has split gamma once per search; any common denominator
+    gives the same lattice) every condition is linear, so the lattice is the
+    first n coordinates of the saturated left kernel of
     [[A^l - I | prime layers e | torsion layer t], [0 | 0 | den]]: a kernel
     row (b, y) means b*(A^l - I) = 0, b*e = 0 and b*t = -y*den.  No kernel
     row has its pivot at y, since y*den = 0 forces y = 0, so the projected
     rows are already the lattice's canonical Hermite basis.
     """
     n = phi.dim
-    den, _, (layers,) = layers_of([phi.translation])
+    den, _, (layers,) = gamma_layers or layers_of([phi.translation])
     al, (tors, *exps) = _iterate_layers(phi.matrix, den, layers, ell)
     eqs = (al - IntMatrix.identity(n)).to_rows()
     rows = [[*eq, *(e[i] for e in exps), tors[i]] for i, eq in enumerate(eqs)]
@@ -208,10 +211,11 @@ def find_invariant_fibration(
     if not factors:
         return None
     big = math.lcm(*(d for d, _ in factors))
+    gamma_layers = layers_of([phi.translation])
     for ell in divisors(big):
         if ell > iterate_cap:
             continue
-        lat = _fixed_character_lattice(phi, ell)
+        lat = _fixed_character_lattice(phi, ell, gamma_layers)
         if lat.rank > 0:
             return FibrationWitness(ell, lat.basis[0], lat)
     return None

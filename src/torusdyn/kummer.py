@@ -33,6 +33,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
@@ -364,16 +366,20 @@ def from_layers(den: int, primes: Sequence[int], layers: PointLayers) -> Point:
     )
 
 
-def layer_orders(den: int, primes: Sequence[int], points: Sequence[PointLayers]) -> tuple[int, dict[int, int]]:
-    """Over every coordinate of the layered points: the lcm of the torsion
-    orders, and for each prime that occurs the lcm of its exponent denominators."""
-    torsion_lcm = den // math.gcd(den, *(x for pt in points for x in pt[0]))
-    needed = {}
-    for k, p in enumerate(primes, 1):
-        entries = [x for pt in points for x in pt[k]]
-        if any(entries):
-            needed[p] = den // math.gcd(den, *entries)
-    return torsion_lcm, needed
+def layer_orders(
+    den: int, primes: Sequence[int], points: Sequence[PointLayers], anchor: PointLayers | None = None
+) -> tuple[int, dict[int, int]]:
+    """Over every coordinate of the layered points less the anchor's layers, if
+    given: the lcm of the torsion orders, and for each prime whose layer is
+    nonzero the lcm of its exponent denominators.  Each is den // gcd(den, g),
+    g the gcd of that layer's entries, read as one stream with no shifted copy."""
+    gs = []
+    for k in range(len(primes) + 1):
+        entries = chain.from_iterable(map(itemgetter(k), points))
+        if anchor is not None:
+            entries = map(sub, entries, cycle(anchor[k]))
+        gs.append(math.gcd(*entries))
+    return den // math.gcd(den, gs[0]), {p: den // math.gcd(den, g) for p, g in zip(primes, gs[1:]) if g}
 
 
 # -- parsing ----------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OracleError, PreconditionError
@@ -156,28 +156,30 @@ def _factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _generator_mod(q: int) -> int:
-    fac = [p for p, _ in _factor(q - 1)]
+def _generator_mod(q: int, factors: list[tuple[int, int]] | None = None) -> int:
+    """The least generator of F_q^*; ``factors`` is ``_factor(q - 1)`` when the caller has it."""
+    fac = [p for p, _ in factors or _factor(q - 1)]
     for g in range(2, q):
         if all(pow(g, (q - 1) // pf, q) != 1 for pf in fac):
             return g
     raise AssertionError("no generator found")
 
 
-def _discrete_logs(q: int, g: int, hs: list[int]) -> list[int]:
+def _discrete_logs(q: int, g: int, hs: list[int], factors: list[tuple[int, int]] | None = None) -> list[int]:
     """Pohlig-Hellman solutions x in [0, q - 1) of g^x = h (mod q) for a generator g.
 
-    For each prime power p^e exactly dividing q - 1, x mod p^e is read one
-    base-p digit at a time in the subgroup of order p, by baby-step
-    giant-step against one table of ceil(sqrt(p)) entries that every h
-    shares; the residues are combined by the CRT.  q - 1 is smooth for the
-    primes :func:`build_embedding` picks, so the tables stay small.
+    For each prime power p^e exactly dividing q - 1 (``factors``, when the
+    caller has already factored it), x mod p^e is read one base-p digit at a
+    time in the subgroup of order p, by baby-step giant-step against one
+    table of ceil(sqrt(p)) entries that every h shares; the residues are
+    combined by the CRT.  q - 1 is smooth for the primes
+    :func:`build_embedding` picks, so the tables stay small.
     """
     if not hs:
         return []
     n = q - 1
     xs = [0] * len(hs)
-    for p, e in _factor(n):
+    for p, e in factors or _factor(n):
         pe = p**e
         gamma = pow(g, n // p, q)  # of order p
         m = math.isqrt(p - 1) + 1
@@ -336,9 +338,9 @@ def _try_embedding(torsion_lcm: int, needed: Mapping[int, int], q: int) -> Modul
         return None
     if any(p % q == 0 for p in needed):
         return None
-    g = _generator_mod(q)
+    g = _generator_mod(q, factors := _factor(q - 1))
     ps = sorted(needed)
-    logs = dict(zip(ps, _discrete_logs(q, g, [p % q for p in ps])))
+    logs = dict(zip(ps, _discrete_logs(q, g, [p % q for p in ps], factors)))
     if any(logs[p] % needed[p] for p in ps):
         return None
     logs = _consistent_branches(needed, logs, torsion_lcm, q, g)
@@ -497,33 +499,38 @@ def _rank_mod(rows: Iterable[Sequence[int]], q: int) -> int:
 
 
 def _evaluation_rows(
-    den: int, primes: tuple[int, ...], points: list[PointLayers], steps: list[tuple[int, int]], emb: ModularEmbedding
+    den: int, primes: tuple[int, ...], points: list[PointLayers], steps: list[tuple[int, int]], emb: ModularEmbedding,
+    anchor: PointLayers | None = None, orders: tuple[int, Mapping[int, int]] | None = None,
 ) -> Iterator[list[int]]:
-    """The embedded monomial values at each layered point, columns in _monomials order.
+    """The embedded monomial values at each layered point less the anchor, columns in _monomials order.
 
     A coordinate with torsion t and prime exponents e_p (all over den) embeds
-    as g^((t * (q - 1) + sum_p e_p * log_p) / den).  The divisibility of every
-    coordinate of every point is asserted before this returns; the rows
-    themselves (n powers and one product per monomial each) are built only as
-    the caller reads them.
+    as g^((t * (q - 1) + sum_p e_p * log_p) / den).  Before this returns, the
+    divisibility is checked once per layer against the points' orders
+    (``orders``, or :func:`torusdyn.kummer.layer_orders` of the points less
+    the anchor): q - 1 is divisible by the torsion lcm, and every prime whose
+    layer is nonzero has a log divisible by its N_p.  Every entry of layer k
+    is a multiple of den / N_k, so every exponent sum of every point, read or
+    not, is divisible by den.  A point's exponents and its row (n powers and
+    one product per monomial) are computed only when the caller reads it.
     """
     q, g = emb.prime, emb.generator
     logs = dict(emb.prime_logs)
-    weights = [q - 1] + [logs.get(p, 0) for p in primes]  # a prime missing from logs has zero exponents
-    exponents = []
-    for layers in points:
-        nums = [sum(map(mul, weights, column)) for column in zip(*layers)]
-        assert not any(num % den for num in nums)
-        exponents.append([num // den % (q - 1) for num in nums])
+    torsion_lcm, needed = orders or layer_orders(den, primes, points, anchor)
+    assert (q - 1) % torsion_lcm == 0 and all(p in logs and logs[p] % n_p == 0 for p, n_p in needed.items())
+    weights = [q - 1] + [logs.get(p, 0) for p in primes]  # a prime without a log has a zero layer less the anchor
+    # the anchor's exponent sums, taken off each point's before dividing by den
+    shift = itertools.repeat(0) if anchor is None else [sum(map(mul, weights, column)) for column in zip(*anchor)]
 
-    def row(es: list[int]) -> list[int]:
+    def row(layers: PointLayers) -> list[int]:
+        es = [(sum(map(mul, weights, column)) - s) // den % (q - 1) for column, s in zip(zip(*layers), shift)]
         xs = [pow(g, e, q) for e in es]
         out = [1]
         for parent, j in steps:
             out.append(out[parent] * xs[j] % q)
         return out
 
-    return map(row, exponents)
+    return map(row, points)
 
 
 def hypersurface_containment(
@@ -546,9 +553,11 @@ def hypersurface_containment(
     coordinate.  The embedding is a homomorphism on the group the
     coordinates generate (every discrete log is divisible by the exponent
     denominators it meets), so the entries equal the embedded monomial
-    values.  Every point's exponents are checked against that divisibility
-    up front, but a row is only built when the packed elimination of
-    :func:`_rank_mod` pulls it, and it pulls none past full column rank
+    values.  The shifted sample's layer orders are read in one gcd pass over
+    point - first point, without a shifted copy; that divisibility is checked
+    once per layer against them, which covers every point read or not.  A
+    point's exponents and row are only computed when the packed elimination
+    of :func:`_rank_mod` pulls it, and it pulls none past full column rank
     (often little more than one row per monomial).  The rank, and so the
     result, does not depend on how many rows are read.
     """
@@ -563,9 +572,7 @@ def hypersurface_containment(
     # translating the whole configuration by a fixed torus element maps the
     # degree <= D hypersurfaces bijectively onto themselves, so dividing out
     # the first point preserves the verdict while cancelling shared radicals
-    first = layers[0]
-    moved = [[list(map(sub, u, v)) for u, v in zip(pt, first)] for pt in layers]
-    torsion_lcm, needed = layer_orders(den, primes, moved)
+    orders = torsion_lcm, needed = layer_orders(den, primes, layers, layers[0])
     count = math.comb(n + degree_bound, n)  # counted before listing them, which a large D makes infeasible
     if len(layers) < count or torsion_lcm > TORSION_LCM_CAP or math.prod(needed.values()) > RADICAL_COST_CAP:
         return ContainmentResult("UNDECIDED", degree_bound, len(layers), count, None, None, 0)
@@ -579,7 +586,7 @@ def hypersurface_containment(
         except OracleError:
             break
         attempts += used
-        rank = _rank_mod(_evaluation_rows(den, primes, moved, steps, emb), emb.prime)
+        rank = _rank_mod(_evaluation_rows(den, primes, layers, steps, emb, layers[0], orders), emb.prime)
         if rank == len(monos):
             return ContainmentResult(
                 "NOT_CONTAINED", degree_bound, len(layers), len(monos), emb.prime, rank, attempts

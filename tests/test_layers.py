@@ -85,6 +85,18 @@ def test_layer_orders_match_denominators(points):
     assert layer_orders(*layers_of(points)) == (torsion_lcm, needed)
 
 
+@_property
+@given(_point_lists.filter(bool), st.integers(0, 4))
+def test_anchored_layer_orders_match_the_moved_sample(points, i):
+    den, primes, layers = layers_of(points)
+    anchor = layers[i % len(layers)]
+    moved = [[[x - a for x, a in zip(u, v)] for u, v in zip(pt, anchor)] for pt in layers]
+    orders = layer_orders(den, primes, layers, anchor)
+    assert orders == layer_orders(den, primes, moved)
+    shift = tuple(c.inverse() for c in points[i % len(points)])
+    assert orders == layer_orders(*layers_of([tuple(a * s for a, s in zip(p, shift)) for p in points]))
+
+
 _maps_and_points = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
         st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n).filter(

@@ -390,6 +390,60 @@ def test_evaluation_rows_check_points_they_never_read():
         _rank_mod(_evaluation_rows(den, primes, layers, steps, off), off.prime)
 
 
+def test_evaluation_rows_refuse_an_embedding_without_a_needed_log(monkeypatch):
+    # the orbit moves the layers of 2 and 3, so an embedding without a log of 3
+    # cannot embed it; the 5^(1/3) every point shares cancels against the
+    # first point and needs no log
+    phi = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))
+    points = orbit_sample(phi, parse_point(["2 * 5^(1/3)", "2"]), 12)
+    den, primes, layers = layers_of(points)
+    orders = layer_orders(den, primes, layers, layers[0])
+    assert primes == (2, 3, 5) and orders == (1, {2: 1, 3: 1})
+    emb, _ = build_embedding(*orders, random.Random(0))
+    assert [p for p, _ in emb.prime_logs] == [2, 3]
+    monos = _monomials(2, 2)
+    steps = _monomial_steps(monos)
+    shift = tuple(c.inverse() for c in points[0])
+    ref = [[emb.embed(char_eval(tuple(a * s for a, s in zip(p, shift)), m)) for m in monos] for p in points]
+    assert list(_evaluation_rows(den, primes, layers, steps, emb, layers[0])) == ref
+    lacking = ModularEmbedding(emb.prime, emb.generator, emb.torsion_lcm, emb.prime_logs[:1])
+    with pytest.raises(AssertionError):
+        _evaluation_rows(den, primes, layers, steps, lacking, layers[0])
+    monkeypatch.setattr(oracle, "build_embedding", lambda *args: (lacking, 1))
+    with pytest.raises(AssertionError):
+        hypersurface_containment((den, primes, layers), 2, seed=0)
+
+
+def test_containment_builds_only_the_rows_it_reads(monkeypatch):
+    # a point's exponents (one product per layer entry) and its row are
+    # computed only when _rank_mod pulls it, never for the rest of the sample
+    pulled, products = [], []
+
+    def counting_rank(rows, q):
+        def tally():
+            for row in rows:
+                pulled.append(row)
+                yield row
+
+        return _rank_mod(tally(), q)
+
+    def counting_mul(a, b):
+        products.append(a)
+        return a * b
+
+    monkeypatch.setattr(oracle, "_rank_mod", counting_rank)
+    monkeypatch.setattr(oracle, "mul", counting_mul)
+    phi = load_map_spec(str(FIXDIR / "example_dense3.json")).to_map()
+    den, primes, layers = sample_family_points(invariant_family(phi, 8), 13)
+    res = hypersurface_containment((den, primes, layers), 3, seed=13)
+    assert res.not_contained and res.attempts == 1 and len(layers) == 172
+    assert res.rank <= len(pulled) < len(layers) // 2
+    # the first point's exponent sums, taken off every row's, and then one
+    # exponent vector per row pulled
+    per_point = len(layers[0]) * len(layers[0][0])
+    assert len(products) == (len(pulled) + 1) * per_point
+
+
 def _containment_inputs():
     """(name, points, degree bound, seed): each fixture's orbit, and the family
     samples of the two dense fixtures."""

@@ -1,15 +1,21 @@
 """The benchmark's tracer patches torusdyn functions by name: every name must
-still resolve, and classify must still reach the stages through those names."""
+still resolve, and classify must still reach the stages through those names.
+The benchmark's corpora also pin classify's reports."""
 
 import doctest
+import hashlib
 import importlib
+import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 from torusdyn import dynamics, kummer, oracle, polyalg
 from torusdyn.cli import load_map_spec
+from torusdyn.torus import AffineMonomialMap
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the stages of the dense-family pipeline, as classify reaches them
 STAGES = [
@@ -84,3 +90,33 @@ def test_docstring_examples_run():
     for module in (kummer, polyalg):
         result = doctest.testmod(module)
         assert result.failed == 0 and result.attempted > 0, (module.__name__, result)
+
+
+def _perfbench_module(name, monkeypatch):
+    """Run perfbench/<name>.py as module ``name`` without importing it, so
+    nothing is written under perfbench/."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, name, module)  # its dataclasses and imports look it up there
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+# sha256 over repr(classify(phi)) of every map of these corpora, in order, as
+# computed before the density test read its sample's orders in one gcd pass
+_CORPUS_REPORTS = "b79c62d6d3cb8595ee3942496a22debd6f112200c0dc47d84b6d0cd4c550c05c"
+
+
+def test_corpus_reports_pinned(monkeypatch):
+    _perfbench_module("exact", monkeypatch)
+    corpus = _perfbench_module("corpus", monkeypatch)
+    digest = hashlib.sha256()
+    count = 0
+    for workload in ("dense_families", "highdim", "degree_one"):
+        for seed in (7, 11):
+            for case in getattr(corpus, workload)(seed):
+                phi = AffineMonomialMap.build(case.rows, kummer.parse_point(case.gamma))
+                digest.update(repr(dynamics.classify(phi)).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (588, _CORPUS_REPORTS)
