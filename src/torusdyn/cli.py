@@ -310,9 +310,7 @@ def _cmd_orbit(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) ->
 def _cmd_check_density(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.budget)
-    result = oracle.hypersurface_containment(
-        layers_of(orbit), config.degree_bound, seed=config.seed, retries=config.retries
-    )
+    result = dynamics.density_test(layers_of(orbit), phi.dim, config)
     lines = [
         f"orbit of length {len(orbit)}: {result.status} "
         f"(degree bound {result.degree_bound}, {result.monomial_count} monomials)"

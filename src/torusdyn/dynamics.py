@@ -174,13 +174,15 @@ def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[Int
 
 
 def _fixed_character_lattice(
-    phi: AffineMonomialMap, ell: int, gamma_layers: tuple[int, tuple[int, ...], list[PointLayers]] | None = None
+    phi: AffineMonomialMap, ell: int, gamma_layers: tuple[int, tuple[int, ...], list[PointLayers]] | None = None,
+    iterate: tuple[IntMatrix, PointLayers] | None = None,
 ) -> Lattice:
     """All characters b with b*(A^l - I) = 0 and chi_b(gamma_l) = 1, as a lattice.
 
     On gamma_l's exponent layers over gamma's denominator den (``gamma_layers``,
-    when the caller has split gamma once per search; any common denominator
-    gives the same lattice) every condition is linear, so the lattice is the
+    when the caller has split gamma once per search, and ``iterate``, (A^l,
+    gamma_l's layers), when it has built them; any common denominator gives
+    the same lattice) every condition is linear, so the lattice is the
     first n coordinates of the saturated left kernel of
     [[A^l - I | prime layers e | torsion layer t], [0 | 0 | den]]: a kernel
     row (b, y) means b*(A^l - I) = 0, b*e = 0 and b*t = -y*den.  No kernel
@@ -189,7 +191,7 @@ def _fixed_character_lattice(
     """
     n = phi.dim
     den, _, (layers,) = gamma_layers or layers_of([phi.translation])
-    al, (tors, *exps) = _iterate_layers(phi.matrix, den, layers, ell)
+    al, (tors, *exps) = iterate or _iterate_layers(phi.matrix, den, layers, ell)
     eqs = (al - IntMatrix.identity(n)).to_rows()
     rows = [[*eq, *(e[i] for e in exps), tors[i]] for i, eq in enumerate(eqs)]
     rows.append([0] * (n + len(exps)) + [den])
@@ -211,11 +213,14 @@ def find_invariant_fibration(
     if not factors:
         return None
     big = math.lcm(*(d for d, _ in factors))
-    gamma_layers = layers_of([phi.translation])
+    gamma_layers = den, _, (layers,) = layers_of([phi.translation])
+    iterates = {1: (phi.matrix, layers)}  # phi^l is (phi^d)^(l/d) for the largest d | l built before l
     for ell in divisors(big):
         if ell > iterate_cap:
-            continue
-        lat = _fixed_character_lattice(phi, ell, gamma_layers)
+            break
+        d = max(d for d in iterates if ell % d == 0)
+        iterates[ell] = _iterate_layers(iterates[d][0], den, iterates[d][1], ell // d)
+        lat = _fixed_character_lattice(phi, ell, gamma_layers, iterates[ell])
         if lat.rank > 0:
             return FibrationWitness(ell, lat.basis[0], lat)
     return None
@@ -283,9 +288,9 @@ def _normalized(phi: AffineMonomialMap, spectrum: Spectrum) -> tuple[int, Affine
 
 
 def _preimage(m: IntMatrix, x: Point) -> Point:
-    """The point y with y^m = x, for m invertible over Q: one rational solve per exponent layer."""
+    """The point y with y^m = x, for m invertible over Q: one rational elimination, x's layers its right-hand sides."""
     den, primes, (layers,) = layers_of([x])
-    sols = [solve_rational(m, layer) for layer in layers]
+    sols = solve_rational(m, *layers) if len(layers) > 1 else [solve_rational(m, layers[0])]
     assert all(sol is not None for sol in sols)
     scale = math.lcm(*(c.denominator for sol in sols for c in sol))
     return from_layers(den * scale, primes, [[(c * scale).numerator for c in sol] for sol in sols])
@@ -545,8 +550,9 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
 
     Every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit
     point u, so every orbit shares the prime layers of its k-th step.  That
-    trajectory is built once per source; each orbit steps only its torsion
-    layer.  Its projection to T/x1 is the fixed point of the map induced there
+    trajectory is built once per source, rescaled once per step and call,
+    and every coset at a step holds the same lists; each orbit steps only
+    its torsion layer.  Its projection to T/x1 is the fixed point of the map induced there
     (no eigenvalue on T/x1 is a root of unity), so it is checked once, on the
     first step, and cycles close and dedupe on their torsion projections.
     """
@@ -561,8 +567,10 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
     # a trivial x1 has the identity as annihilator basis: T/x1 is T itself
     proj = None if dec.x1.dim == 0 else [list(b) for b in dec.x1.annihilator.basis]
 
-    # the shared prime trajectory over den_b, extended as the longest cycle needs
-    exps = [beta_e, _prime_step(rows, beta_e, gamma_e)]
+    # the shared prime trajectory over den_b, extended as the longest cycle needs; a step equal
+    # to the one before it is that same list, so a fixed trajectory is one list throughout
+    step = _prime_step(rows, beta_e, gamma_e)
+    exps = [beta_e, beta_e if step == beta_e else step]
 
     # x1 is invariant, so its annihilator basis P has P*A = A'*P, and P*e_(k+1) = A'*P*e_k + P*g:
     # a first step that fixes P*e_0 fixes it at every step
@@ -577,6 +585,7 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
         s = den // den_b
         beta, gamma = [v * s for v in beta_t], [v * s for v in gamma_t]
         v2d = [[a * (den // d) for a in row] for row in v2]  # torsion layer of x2.embed(u / d): v2d * u
+        scaled = exps if s == 1 else []  # the trajectory over den, one list per step for every coset there
         for orbit in orbits:
             cur = [(sum(map(mul, row, orbit[0])) + b) % den for row, b in zip(v2d, beta)]
             tors, projections = [], []
@@ -596,9 +605,11 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
                 yield built[key], False
                 continue
             while len(exps) < len(tors):
-                exps.append(_prime_step(rows, exps[-1], gamma_e))
-            bases = [[t] + [[v * s for v in layer] for layer in e] for t, e in zip(tors, exps)]
-            built[key] = CosetFamily(d, tuple(orbit), dec.x1, (den, primes, bases))
+                step = _prime_step(rows, exps[-1], gamma_e)
+                exps.append(exps[-1] if step == exps[-1] else step)
+            for j in range(len(scaled), len(tors)):  # a step that is the one before shares its rescaled list
+                scaled.append(scaled[-1] if j and exps[j] is exps[j - 1] else [[v * s for v in e] for e in exps[j]])
+            built[key] = CosetFamily(d, tuple(orbit), dec.x1, (den, primes, [[t, *e] for t, e in zip(tors, scaled)]))
             yield built[key], True
 
     return dec, cycles
@@ -646,6 +657,11 @@ def sample_family_points(
     The sample is exponent layers ``(den, primes, layers)``, as from
     :func:`torusdyn.kummer.layers_of`: each base's layers over one den, and
     seed i = p^e of base * x1.embed(seeds) adds e * cochar column i to p's layer.
+    A coset's prime rows are built once per shared step of its cycle (the
+    lists its layers hold) and shared by reference with its points.  The
+    families must be distinct cycles, as one source's are: points of distinct
+    cosets then differ, so only a coset's own draws are deduplicated (a
+    family object listed twice is sampled once).
     """
     rng = random.Random(seed)
     seed_primes = (2, 3, 5, 7)  # the coordinates of points along x1 are powers of these
@@ -653,42 +669,46 @@ def sample_family_points(
     seeded = any(fam.torus.dim for fam in families)
     primes = tuple(sorted({p for fam in families for p in fam.layers[1]}.union(seed_primes if seeded else ())))
     row = {p: k for k, p in enumerate(primes, 1)}
+    parts: dict[tuple, list[list[int]]] = {}  # a coset's prime rows, by the ids of its prime layers
 
-    def candidates() -> Iterator[PointLayers]:
-        for fam in families:
+    def candidates() -> Iterator[tuple[set, tuple, PointLayers]]:
+        """Each coset's base and seeded draws, with the seeds of the coset's accepted draws and their own."""
+        for fam in {id(fam): fam for fam in families}.values():
             fam_den, fam_primes, fam_layers = fam.layers
             scale = den // fam_den
             k = fam.torus.dim
             v1 = fam.torus.cochar_basis.to_rows() if k else []
-            for layers in fam_layers:
-                base = [[v * scale for v in layers[0]]] + [[0] * len(layers[0]) for _ in primes]
-                for p, layer in zip(fam_primes, layers[1:]):
-                    base[row[p]] = [v * scale for v in layer]
-                yield base
-                if k == 0:
-                    continue  # a point coset: every sample is the base, and no seed is drawn
-                for _ in range(per_coset - 1):
-                    x = [list(layer) for layer in base]
-                    for i in range(k):
-                        p, e = rng.choice(seed_primes), rng.randint(1, 3)
+            for t, *exps in fam_layers:
+                key = (scale, id(fam_primes), *map(id, exps))
+                if key not in parts:
+                    parts[key] = [[0] * len(t)] * len(primes)
+                    for p, layer in zip(fam_primes, exps):
+                        parts[key][row[p] - 1] = [v * scale for v in layer]
+                base = [t if scale == 1 else [v * scale for v in t], *parts[key]]
+                taken: set[tuple] = set()
+                yield taken, (), base
+                # v1's columns are independent and every e is positive, so a draw is
+                # never the base, and two draws agree exactly when their seeds do
+                for _ in range(per_coset - 1 if k else 0):  # a point coset draws nothing from rng
+                    seeds = tuple((rng.choice(seed_primes), rng.randint(1, 3)) for _ in range(k))
+                    x = [*base]
+                    for i, (p, e) in enumerate(seeds):
                         x[row[p]] = [a + vrow[i] * e * den for a, vrow in zip(x[row[p]], v1)]
-                    yield x
+                    yield taken, seeds, x
 
     pts: list[PointLayers] = []
-    seen: set[tuple] = set()  # torsion is reduced mod den, so equal points have equal layers
     # cost accounting mirrors the density test, which divides the pool by its
     # first point (the anchor) before embedding: per layer, the gcd of den with
     # every accepted x - anchor, so the pooled torsion lcm is den // gcds[0] and
-    # each prime's exponent denominator lcm is den // gcds[k]
+    # each prime's exponent denominator lcm is den // gcds[k] (a layer equal to the anchor's keeps its gcd)
     gcds = [den] * (len(primes) + 1)
-    for x in candidates():
-        key = tuple(map(tuple, x))
-        if key in seen:
+    for taken, seeds, x in candidates():
+        if seeds in taken:
             continue
         anchor = pts[0] if pts else x
-        new = [math.gcd(g, *map(sub, u, v)) for g, u, v in zip(gcds, x, anchor)]
+        new = [g if u == v else math.gcd(g, *map(sub, u, v)) for g, u, v in zip(gcds, x, anchor)]
         if den // new[0] <= torsion_lcm_cap and math.prod(den // g for g in new[1:]) <= radical_cost_cap:
-            seen.add(key)
+            taken.add(seeds)
             pts.append(x)
             gcds = new
         if len(pts) >= cap:
@@ -737,6 +757,14 @@ def degenerate_sample(sample: tuple[int, tuple[int, ...], list[PointLayers]], de
     return bool(layers)
 
 
+def density_test(sample: tuple[int, tuple[int, ...], list[PointLayers]], n: int, config: ClassifyConfig):
+    """The density oracle on a layered sample of the rank-n torus; UNDECIDED, no prime tried, if degenerate."""
+    if degenerate_sample(sample, config.degree_bound):
+        count = math.comb(n + config.degree_bound, n)
+        return oracle.ContainmentResult("UNDECIDED", config.degree_bound, len(sample[2]), count, None, None, 0)
+    return oracle.hypersurface_containment(sample, config.degree_bound, seed=config.seed, retries=config.retries)
+
+
 def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tuple[CosetFamily, bool]]:
     """Distinct cycles of the least torsion order d > D' coprime to det a2, each
     with its freshness flag, until they hold point_budget cosets or number
@@ -776,19 +804,11 @@ def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig, spectru
     source = _cycle_source(phi, spectrum)
     families = invariant_family(phi, config.family_budget, config.torsion_cap, source)
     pts = sample_family_points(families, config.seed, cap=config.point_budget)
-    if degenerate_sample(pts, config.degree_bound):
-        grid = _grid_cycles(*source, config)
-        if grid:
-            families += [fam for fam, fresh in grid if fresh]
-            pts = sample_family_points([fam for fam, _ in grid], config.seed, cap=config.point_budget)
-        if not grid or degenerate_sample(pts, config.degree_bound):
-            count = math.comb(phi.dim + config.degree_bound, phi.dim)
-            undecided = oracle.ContainmentResult("UNDECIDED", config.degree_bound, len(pts[2]), count, None, None, 0)
-            return tuple(families), undecided
-    density = oracle.hypersurface_containment(
-        pts, config.degree_bound, seed=config.seed, retries=config.retries
-    )
-    return tuple(families), density
+    grid = degenerate_sample(pts, config.degree_bound) and _grid_cycles(*source, config)
+    if grid:
+        families += [fam for fam, fresh in grid if fresh]
+        pts = sample_family_points([fam for fam, _ in grid], config.seed, cap=config.point_budget)
+    return tuple(families), density_test(pts, phi.dim, config)
 
 
 def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) -> ClassificationReport:

@@ -535,14 +535,16 @@ def rational_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def solve_rational(m: IntMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
+def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction, ...] | None | list:
     """One exact solution of m*x = b over the rationals, or None if inconsistent.
 
-    Free variables are set to zero.  b may contain ints or Fractions.
+    Free variables are set to zero.  b may contain ints or Fractions.  Given more right-hand
+    sides, one elimination solves them all and the result is the list of each one's solution.
     """
-    if len(b) != m.rows:
+    rhs = (b, *more)
+    if any(len(c) != m.rows for c in rhs):
         raise ValueError("dimension mismatch")
-    rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(b[i])] for i in range(m.rows)]
+    rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(c[i]) for c in rhs] for i in range(m.rows)]
     piv_cols: list[int] = []
     r = 0
     for j in range(m.cols):
@@ -558,10 +560,10 @@ def solve_rational(m: IntMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
                 rows[i] = [a - g * c for a, c in zip(rows[i], rows[r])]
         piv_cols.append(j)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][m.cols] != 0:
-            return None
-    x = [Fraction(0)] * m.cols
-    for i, j in enumerate(piv_cols):
-        x[j] = rows[i][m.cols]
-    return tuple(x)
+    sols: list[tuple[Fraction, ...] | None] = []
+    for k in range(m.cols, m.cols + len(rhs)):
+        x = [Fraction(0)] * m.cols
+        for i, j in enumerate(piv_cols):
+            x[j] = rows[i][k]
+        sols.append(None if any(rows[i][k] for i in range(r, len(rows))) else tuple(x))
+    return sols if more else sols[0]

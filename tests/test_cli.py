@@ -139,6 +139,22 @@ def test_check_density_and_strict(tmp_path, capsys):
     assert rc == 4
 
 
+def test_check_density_on_a_degenerate_orbit_tries_no_prime(tmp_path, capsys):
+    # the second coordinate is constant, so every prime would report a rank deficit;
+    # the torsion order and the radical make each prime scan slow
+    spec = _write_spec(tmp_path, {"matrix": [[1, 0], [0, 1]], "gamma": ["zeta(999983)*2^(1/3989)", "1"]})
+    for strict, want_rc in (([], 0), (["--strict"], 4)):
+        start = time.perf_counter()
+        rc = main(["check-density", spec, "--point", "1,1", "--json", *strict])
+        assert time.perf_counter() - start < 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert rc == want_rc
+        assert result == {
+            "status": "UNDECIDED", "degree_bound": 3, "point_count": 50, "monomial_count": 10,
+            "prime": None, "rank": None, "attempts": 0,
+        }
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     assert main(["classify", _write_spec(tmp_path, {"matrix": [[1, 1], [1, 1]], "gamma": ["1", "1"]})]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +372,47 @@ def test_preimage_round_trip(m, data):
     assert monomial_image(m, y) == x
 
 
+def reference_preimage(m, x):
+    """_preimage as one rational solve per exponent layer (reference)."""
+    den, primes, (layers,) = layers_of([x])
+    sols = [intlinalg.solve_rational(m, layer) for layer in layers]
+    scale = math.lcm(*(c.denominator for sol in sols for c in sol))
+    return from_layers(den * scale, primes, [[(c * scale).numerator for c in sol] for sol in sols])
+
+
+_invertible_up_to_6 = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(IntMatrix.from_rows).filter(lambda m: m.det() != 0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_invertible_up_to_6, st.data())
+def test_preimage_matches_the_per_layer_solve(m, data):
+    x = data.draw(st.tuples(*[_coords] * m.rows))
+    assert _preimage(m, x) == reference_preimage(m, x)
+
+
+def test_decompose_eliminates_once_per_preimage(monkeypatch):
+    # each _preimage is one elimination carrying every layer, not one solve per layer
+    calls = []
+
+    def counting(m, *rhs):
+        calls.append(len(rhs))
+        return intlinalg.solve_rational(m, *rhs)
+
+    monkeypatch.setattr(dynamics, "solve_rational", counting)
+    cases = [
+        (EX_HYPER, 1),
+        (AffineMonomialMap.build([[2, 1], [1, 1]], parse_point(["2^(1/2) * 5", "zeta(3) * 3 * 7^(1/3)"])), 5),
+        (AffineMonomialMap.build([[-1, 0], [0, 2]], parse_point(["zeta(4)", "3"])), 2),
+        (AffineMonomialMap.build([[1, 1, 0], [0, 1, 1], [1, 0, 2]], parse_point(["zeta(4)", "2^(1/2) * 5", "3^(-1)"])), 4),
+    ]
+    for phi, layers in cases:
+        calls.clear()
+        decompose(phi)
+        assert calls == [layers, layers]
+
+
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 # degree-one blocks (finite order or unipotent) and one expanding block, for maps whose A^l - I has a kernel
@@ -391,6 +433,34 @@ def test_fixed_character_lattice_is_one_kernel(monkeypatch):
             calls.clear()
             _fixed_character_lattice(phi, ell)
             assert len(calls) == 1 and calls[0].rows == phi.dim + 1
+
+
+def test_fibration_search_builds_each_iterate_from_a_smaller_one(monkeypatch):
+    # the order-12 block fixes no character below l = 12, so the search goes through
+    # every divisor; each iterate is one power of the largest divisor built before
+    real_lattice, real_iterate = dynamics._fixed_character_lattice, dynamics._iterate_layers
+    seen, powers = [], []
+
+    def lattice(phi, ell, gamma_layers=None, iterate=None):
+        seen.append((ell, iterate))
+        return real_lattice(phi, ell, gamma_layers, iterate)
+
+    def iterate(a, den, g, k):
+        powers.append(k)
+        return real_iterate(a, den, g, k)
+
+    monkeypatch.setattr(dynamics, "_fixed_character_lattice", lattice)
+    monkeypatch.setattr(dynamics, "_iterate_layers", iterate)
+    rows = [[0, 0, 0, -1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 2]]
+    phi = AffineMonomialMap.build(rows, parse_point(["zeta(5) * 2", "3^(1/2)", "5", "zeta(7)", "7"]))
+    witness = find_invariant_fibration(phi)
+    assert witness is not None and witness.iterate == 12 and witness.verify(phi)
+    assert [ell for ell, _ in seen] == [1, 2, 3, 4, 6, 12]
+    assert powers == [1, 2, 3, 2, 2, 2]
+    den, _, (layers,) = layers_of([phi.translation])
+    for ell, built in seen:
+        assert built == real_iterate(phi.matrix, den, layers, ell)
+        assert real_lattice(phi, ell) == real_lattice(phi, ell, None, built)
 
 
 def test_fixed_character_lattice_brute_force():

@@ -396,6 +396,22 @@ def test_solve_rational():
         assert mat_vec(m, sol) == tuple(b)
 
 
+def test_solve_rational_with_several_right_hand_sides():
+    # one elimination gives what a solve per right-hand side gives, None where inconsistent
+    rng = random.Random(207)
+    inconsistent = 0
+    for _ in range(100):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+        rhs = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rows)] for _ in range(rng.randint(2, 4))]
+        sols = solve_rational(m, *rhs)
+        assert sols == [solve_rational(m, b) for b in rhs]
+        inconsistent += sols.count(None)
+    assert inconsistent > 0
+    with pytest.raises(ValueError):
+        solve_rational(IntMatrix.identity(2), [1, 2], [1])
+
+
 def test_matrix_basics():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert (m**0).entries == IntMatrix.identity(2).entries

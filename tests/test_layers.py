@@ -460,3 +460,49 @@ def test_shared_prime_trajectory_matches_the_full_layer_loop():
         assert got == ref and repr(got) == repr(ref), name
         assert [f.layers for f in got] == [f.layers for f in ref], name
         assert [f.cycle for f in got] == ref_cycles, name
+
+
+def test_cosets_at_one_step_share_their_prime_layers():
+    # the prime trajectory goes from the cycle walk into the families by reference:
+    # every coset at step j of a cycle of one torsion order holds the same lists,
+    # and a fixed trajectory (x1 trivial and no normalizing iterate) is one list per order
+    fixed = 0
+    for name, phi in _differential_maps().items():
+        fams = invariant_family(phi, 12)
+        by_order = {}
+        for fam in fams:
+            by_order.setdefault(fam.torsion_order, []).append(fam.layers[2])
+        for bases in by_order.values():
+            for j in range(max(map(len, bases))):
+                steps = [b[j][1:] for b in bases if len(b) > j]
+                assert all(u is v for s in steps for u, v in zip(s, steps[0])), name
+        dec = decompose(phi)
+        if dec.x1.dim == 0 and dec.normalize_iterate == 1 and fams[0].layers[1]:
+            fixed += 1
+            assert len({id(x[1]) for bases in by_order.values() for b in bases for x in b}) <= len(by_order), name
+    assert fixed >= 3
+
+
+def _copy(fam):
+    """The family with equal but distinct lists, none shared."""
+    den, primes, bases = fam.layers
+    return CosetFamily(fam.torsion_order, fam.orbit_exponents, fam.torus, (den, tuple(primes), [[list(v) for v in x] for x in bases]))
+
+
+def test_sample_of_a_repeated_family_and_of_a_copy():
+    # a family listed twice is sampled once; a hand-built copy, whose lists are
+    # equal but not shared, samples as the family does
+    for name, phi in _differential_maps().items():
+        fams = invariant_family(phi, 6)
+        copies = [_copy(fam) for fam in fams]
+        for seed, (per_coset, cap, lcm_cap, cost_cap) in enumerate(_SAMPLE_SETTINGS):
+            kw = dict(per_coset=per_coset, cap=cap, torsion_lcm_cap=lcm_cap, radical_cost_cap=cost_cap)
+            want = sample_family_points(fams, seed, **kw)
+            for families in (copies, fams[:2] + copies[2:], fams[:1] + fams + fams[::2]):
+                assert sample_family_points(families, seed, **kw) == want, (name, seed)
+            decoded = [from_layers(want[0], want[1], x) for x in want[2]]
+            assert decoded == reference_sample(copies, seed, **kw)[0], (name, seed)
+            assert len(set(decoded)) == len(decoded), (name, seed)
+            if fams[0].torus.dim == 0:
+                # point cosets draw no seeds, so the reference's global dedupe drops the repeat as a whole
+                assert decoded == reference_sample(fams[:1] + fams + fams[::2], seed, **kw)[0], (name, seed)
