@@ -138,19 +138,19 @@ _CAP_FLAGS = ("iterate_cap", "degree_bound", "torsion_cap", "retries")
 # 4300-digit int -> str limit.
 ORBIT_LENGTH_CAP = 1000
 _LENGTH_FLAGS = {"orbit": "length", "check-density": "budget"}
+# The lengths, budgets and moduli of single commands, which must be positive too.
+_COMMAND_FLAGS = {"orbit": ("length",), "check-density": ("budget",), "periodic": ("modulus", "budget")}
 
 
 def _check_flags(args) -> None:
-    """Every subcommand takes the cap flags and --seed; reject a non-positive cap
-    or a negative seed (as in a spec) on all of them."""
-    for key in _CAP_FLAGS:
+    """Every subcommand takes the cap flags and --seed; reject a non-positive cap,
+    length, budget or modulus, or a negative seed (as in a spec)."""
+    for key in _CAP_FLAGS + _COMMAND_FLAGS.get(args.command, ()):
         flag = getattr(args, key)
         if flag is not None and flag <= 0:
             raise ParseError(f"--{key.replace('_', '-')} must be positive")
     if args.seed is not None and args.seed < 0:
         raise ParseError("option 'seed' must be non-negative")
-    if args.command == "periodic" and args.budget <= 0:
-        raise ParseError("--budget must be positive")
     length = _LENGTH_FLAGS.get(args.command)
     if length and getattr(args, length) > ORBIT_LENGTH_CAP:
         raise ParseError(f"--{length} must be at most ORBIT_LENGTH_CAP = {ORBIT_LENGTH_CAP}")
@@ -310,7 +310,7 @@ def _cmd_orbit(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) ->
 def _cmd_check_density(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.budget)
-    result = dynamics.density_test(layers_of(orbit), phi.dim, config)
+    result = oracle.hypersurface_containment(layers_of(orbit), config.degree_bound, config.seed, config.retries)
     lines = [
         f"orbit of length {len(orbit)}: {result.status} "
         f"(degree bound {result.degree_bound}, {result.monomial_count} monomials)"

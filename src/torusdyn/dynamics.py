@@ -42,6 +42,9 @@ from .torus import (
     AffineMonomialMap,
     Coset,
     Subtorus,
+    _iterate_layers,
+    _prime_step,
+    _torsion_step,
     image_subtorus,
     monomial_image,
     quotient_map,
@@ -49,6 +52,7 @@ from .torus import (
     subtorus_image_under,
 )
 from . import oracle
+from .oracle import degenerate_sample
 
 
 @dataclass(frozen=True)
@@ -149,28 +153,6 @@ class FibrationWitness:
         if any(fixed):
             return False
         return char_eval(phi.iterate(self.iterate).translation, self.character).is_one()
-
-
-def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[IntMatrix, PointLayers]:
-    """(A^k, the layers of gamma_k) for the k-th iterate of x -> gamma * x^A, gamma on layers over den.
-
-    The doubling of :meth:`AffineMonomialMap.iterate` on exponent layers: a
-    map (B, h) after (C, f) is (B*C, h + B*f), the torsion layer mod den.
-    """
-
-    def compose(outer, inner):
-        (b, h), (c, f) = outer, inner
-        return b * c, _affine_step(b.to_rows(), den, f, h)
-
-    result = None
-    square = (a, g)
-    while True:
-        if k & 1:
-            result = square if result is None else compose(square, result)
-        k >>= 1
-        if not k:
-            return result
-        square = compose(square, square)
 
 
 def _fixed_character_lattice(
@@ -355,8 +337,9 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
     # split gamma = gamma1 * gamma2 through the coordinates along x1 and x2
     gamma = base.translation
     w = _preimage(joint, gamma)
-    gamma1 = x1.embed(w[:k1])
-    gamma2 = x2.embed(w[k1:])
+    s1, s2 = w[:k1], w[k1:]
+    gamma1 = x1.embed(s1)
+    gamma2 = x2.embed(s2)
     assert tuple(u * v for u, v in zip(gamma1, gamma2)) == gamma
     assert x1.contains(gamma1) and x2.contains(gamma2)
 
@@ -366,8 +349,6 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
     assert minpoly(a1) == IntPoly.from_coeffs([-1, 1]) ** r
     assert minpoly(a2) == q
 
-    s1 = x1.coordinates_of(gamma1)
-    s2 = x2.coordinates_of(gamma2)
     phi1 = AffineMonomialMap(a1, s1)
     phi2 = AffineMonomialMap(a2, s2)
 
@@ -510,21 +491,6 @@ def _torsion_orbits_exact_order(a2: IntMatrix, d: int, vectors: Iterable | None 
         orbit = _cycle(rows, d, u)
         seen.update(orbit)
         yield orbit
-
-
-def _torsion_step(rows: list[list[int]], den: int, t: list[int], g: list[int]) -> list[int]:
-    """The torsion layer of gamma * x^A from x's and gamma's torsion layers, mod den."""
-    return [(sum(map(mul, row, t)) + c) % den for row, c in zip(rows, g)]
-
-
-def _prime_step(rows: list[list[int]], exps: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """The prime layers of gamma * x^A from x's and gamma's prime layers."""
-    return [[sum(map(mul, row, e)) + c for row, c in zip(rows, ge)] for e, ge in zip(exps, g)]
-
-
-def _affine_step(rows: list[list[int]], den: int, x: PointLayers, g: PointLayers) -> PointLayers:
-    """gamma * x^A on exponent layers: one integer mat-vec per layer, torsion mod den."""
-    return [_torsion_step(rows, den, x[0], g[0])] + _prime_step(rows, x[1:], g[1:])
 
 
 def _lowest_terms(den: int, t: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -739,32 +705,6 @@ class ClassificationReport:
 GRID_DRAWS = 4096
 
 
-def degenerate_sample(sample: tuple[int, tuple[int, ...], list[PointLayers]], degree_bound: int) -> bool:
-    """Whether some coordinate takes at most ``degree_bound`` distinct values on the layered sample.
-
-    Then prod_c (x_i - c) over those values vanishes on every point; it is
-    monic in x_i, so every prime of the density test would report a rank
-    deficit.  A value is the coordinate's column of layers, torsion reduced
-    mod den as the samplers give it.  An empty sample is not degenerate.
-    """
-    layers = sample[2]
-    seen = [set() for _ in layers[0][0]] if layers else []
-    for x in layers:
-        for values, v in zip(seen, zip(*x)):
-            values.add(v)
-        if all(len(values) > degree_bound for values in seen):
-            return False
-    return bool(layers)
-
-
-def density_test(sample: tuple[int, tuple[int, ...], list[PointLayers]], n: int, config: ClassifyConfig):
-    """The density oracle on a layered sample of the rank-n torus; UNDECIDED, no prime tried, if degenerate."""
-    if degenerate_sample(sample, config.degree_bound):
-        count = math.comb(n + config.degree_bound, n)
-        return oracle.ContainmentResult("UNDECIDED", config.degree_bound, len(sample[2]), count, None, None, 0)
-    return oracle.hypersurface_containment(sample, config.degree_bound, seed=config.seed, retries=config.retries)
-
-
 def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tuple[CosetFamily, bool]]:
     """Distinct cycles of the least torsion order d > D' coprime to det a2, each
     with its freshness flag, until they hold point_budget cosets or number
@@ -797,9 +737,9 @@ def _grid_cycles(dec: Decomposition, cycles, config: ClassifyConfig) -> list[tup
 def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig, spectrum: Spectrum):
     """The invariant family and its density certificate.
 
-    The oracle never runs on a degenerate sample: that sample is redrawn from
-    grid cycles, the new ones appended to the family, and when none exist or
-    their sample is degenerate too, the result is UNDECIDED with no prime tried.
+    A degenerate sample is redrawn from grid cycles, the new ones appended to
+    the family; when none exist or their sample is degenerate too, the
+    oracle's gate makes the result UNDECIDED with no prime tried.
     """
     source = _cycle_source(phi, spectrum)
     families = invariant_family(phi, config.family_budget, config.torsion_cap, source)
@@ -808,7 +748,7 @@ def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig, spectru
     if grid:
         families += [fam for fam, fresh in grid if fresh]
         pts = sample_family_points([fam for fam, _ in grid], config.seed, cap=config.point_budget)
-    return tuple(families), density_test(pts, phi.dim, config)
+    return tuple(families), oracle.hypersurface_containment(pts, config.degree_bound, config.seed, config.retries)
 
 
 def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) -> ClassificationReport:

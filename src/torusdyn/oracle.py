@@ -1,10 +1,13 @@
 """Independent verification: finite models, numeric roots, modular density tests.
 
 These are cross-checks, except :func:`hypersurface_containment`, which
-certifies the density evidence of :func:`torusdyn.dynamics.classify`.  The
-one numeric ingredient in the whole package (companion-matrix eigenvalues)
-lives here, as does the randomized-prime machinery, which takes explicit
-seeds so runs are reproducible.
+certifies the density evidence of :func:`torusdyn.dynamics.classify` and of
+``check-density``.  Its one gate before the prime scan returns UNDECIDED,
+with no prime tried, on too few points, a sample past the caps or a
+degenerate one.  The one numeric ingredient in the whole package
+(companion-matrix eigenvalues) lives here, as does the randomized-prime
+machinery, which takes explicit seeds so runs are reproducible; q - 1 of
+each prime it tries is factored by :func:`torusdyn.kummer.factorize`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
-from .kummer import KummerNumber, Point, PointLayers, char_eval, is_prime, layer_orders, layers_of
+from .kummer import KummerNumber, Point, PointLayers, char_eval, factorize, is_prime, layer_orders, layers_of
 from .polyalg import IntPoly, cyclotomic_part, divisors
 from .torus import AffineMonomialMap
 
@@ -139,33 +142,16 @@ def numeric_roots(p: IntPoly, tol: float = 1e-9) -> list[complex]:
 # -- modular embeddings ------------------------------------------------------------
 
 
-def _factor(n: int) -> list[tuple[int, int]]:
-    """The (prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
-        f += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _generator_mod(q: int, factors: list[tuple[int, int]] | None = None) -> int:
-    """The least generator of F_q^*; ``factors`` is ``_factor(q - 1)`` when the caller has it."""
-    fac = [p for p, _ in factors or _factor(q - 1)]
+def _generator_mod(q: int, factors: Mapping[int, int] | None = None) -> int:
+    """The least generator of F_q^*; ``factors`` is ``factorize(q - 1)`` when the caller has it."""
+    fac = factors or factorize(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // pf, q) != 1 for pf in fac):
             return g
     raise AssertionError("no generator found")
 
 
-def _discrete_logs(q: int, g: int, hs: list[int], factors: list[tuple[int, int]] | None = None) -> list[int]:
+def _discrete_logs(q: int, g: int, hs: list[int], factors: Mapping[int, int] | None = None) -> list[int]:
     """Pohlig-Hellman solutions x in [0, q - 1) of g^x = h (mod q) for a generator g.
 
     For each prime power p^e exactly dividing q - 1 (``factors``, when the
@@ -179,7 +165,7 @@ def _discrete_logs(q: int, g: int, hs: list[int], factors: list[tuple[int, int]]
         return []
     n = q - 1
     xs = [0] * len(hs)
-    for p, e in factors or _factor(n):
+    for p, e in (factors or factorize(n)).items():
         pe = p**e
         gamma = pow(g, n // p, q)  # of order p
         m = math.isqrt(p - 1) + 1
@@ -334,27 +320,24 @@ def _consistent_branches(needed: dict[int, int], logs: dict[int, int], torsion_l
 
 
 def _try_embedding(torsion_lcm: int, needed: Mapping[int, int], q: int) -> ModularEmbedding | None:
-    if (q - 1) % torsion_lcm != 0:
-        return None
-    if any(p % q == 0 for p in needed):
-        return None
-    g = _generator_mod(q, factors := _factor(q - 1))
+    """The embedding at a prime q that :func:`build_embedding`'s scan admitted, or None
+    when no square-root branches are consistent mod q.  The scan made q = 1 mod the
+    torsion lcm and each base prime p a unit and an N_p-th power residue mod q, so
+    N_p divides p's discrete log."""
+    g = _generator_mod(q, factors := factorize(q - 1))
     ps = sorted(needed)
     logs = dict(zip(ps, _discrete_logs(q, g, [p % q for p in ps], factors)))
-    if any(logs[p] % needed[p] for p in ps):
-        return None
     logs = _consistent_branches(needed, logs, torsion_lcm, q, g)
     if logs is None:
         return None
     emb = ModularEmbedding(q, g, torsion_lcm, tuple(sorted(logs.items())))
-    # homomorphism spot-checks on the generators
+    # homomorphism spot-checks on the generators, and the exact order of the torsion's image
     for p in logs:
         assert emb.embed(KummerNumber.from_rational(p)) == p % q
     if torsion_lcm > 1:
         z = emb.embed(KummerNumber.root_of_unity(torsion_lcm))
-        assert pow(z, torsion_lcm, q) == 1 and all(
-            pow(z, torsion_lcm // f, q) != 1 for f in (2, 3, 5, 7, 11) if torsion_lcm % f == 0
-        )
+        assert pow(z, torsion_lcm, q) == 1
+        assert all(pow(z, torsion_lcm // f, q) != 1 for f in factors if torsion_lcm % f == 0)
     return emb
 
 
@@ -371,6 +354,12 @@ def build_embedding(
     takes to find an admissible one; the expensive generator/discrete-log
     construction only runs on survivors.  Returns (embedding, admissible
     primes tried).  Raises OracleError when the budget is exhausted.
+
+    The torsion lcm is at most TORSION_LCM_CAP and prod(N_p) at most
+    RADICAL_COST_CAP, as :func:`hypersurface_containment` checks before it
+    calls this.  Then q - 1 = step * t with every prime of step at most 10^6
+    and t < 2^20 + 2 * span (about 5 * 10^6), so q - 1 has at most one prime
+    factor above 10^6 and :func:`torusdyn.kummer.factorize` factors it.
     """
     step = math.lcm(torsion_lcm, *needed.values())
     expected = math.prod(needed.values())
@@ -533,6 +522,24 @@ def _evaluation_rows(
     return map(row, points)
 
 
+def degenerate_sample(sample: tuple[int, tuple[int, ...], list[PointLayers]], degree_bound: int) -> bool:
+    """Whether some coordinate takes at most ``degree_bound`` distinct values on the layered sample.
+
+    Then prod_c (x_i - c) over those values vanishes on every point; it is
+    monic in x_i, so every prime of the density test would report a rank
+    deficit.  A value is the coordinate's column of layers, torsion reduced
+    mod den as the samplers give it.  An empty sample is not degenerate.
+    """
+    layers = sample[2]
+    seen = [set() for _ in layers[0][0]] if layers else []
+    for x in layers:
+        for values, v in zip(seen, zip(*x)):
+            values.add(v)
+        if all(len(values) > degree_bound for values in seen):
+            return False
+    return bool(layers)
+
+
 def hypersurface_containment(
     sample: tuple[int, tuple[int, ...], list[PointLayers]], degree_bound: int, seed: int = 0, retries: int = 32
 ) -> ContainmentResult:
@@ -545,8 +552,9 @@ def hypersurface_containment(
     included) is pushed through a modular embedding; full column rank modulo
     the chosen prime refutes any vanishing relation in characteristic zero.
     Rank deficits trigger a retry with a fresh prime and finally UNDECIDED.
-    Too few points, or a shifted sample past TORSION_LCM_CAP or
-    RADICAL_COST_CAP, is UNDECIDED with no prime tried.
+    Too few points, a shifted sample past TORSION_LCM_CAP or
+    RADICAL_COST_CAP, or a :func:`degenerate_sample`, which every prime
+    would find rank deficient, is UNDECIDED with no prime tried.
 
     Each coordinate is embedded straight from its layers and every matrix
     entry is one modular product of an earlier entry of its row with one
@@ -574,7 +582,10 @@ def hypersurface_containment(
     # the first point preserves the verdict while cancelling shared radicals
     orders = torsion_lcm, needed = layer_orders(den, primes, layers, layers[0])
     count = math.comb(n + degree_bound, n)  # counted before listing them, which a large D makes infeasible
-    if len(layers) < count or torsion_lcm > TORSION_LCM_CAP or math.prod(needed.values()) > RADICAL_COST_CAP:
+    if (
+        len(layers) < count or torsion_lcm > TORSION_LCM_CAP or math.prod(needed.values()) > RADICAL_COST_CAP
+        or degenerate_sample(sample, degree_bound)
+    ):
         return ContainmentResult("UNDECIDED", degree_bound, len(layers), count, None, None, 0)
     monos = _monomials(n, degree_bound)
     steps = _monomial_steps(monos)

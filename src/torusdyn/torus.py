@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .intlinalg import (
     IntMatrix,
@@ -30,7 +31,7 @@ from .intlinalg import (
     left_kernel_saturated,
     right_kernel_matrix,
 )
-from .kummer import Point, char_eval
+from .kummer import Point, PointLayers, char_eval, from_layers, layers_of
 
 
 def monomial_image(m: IntMatrix, x: Point) -> Point:
@@ -87,21 +88,16 @@ class AffineMonomialMap:
     def iterate(self, k: int) -> AffineMonomialMap:
         """The k-th iterate; its translation is gamma * gamma^A * ... * gamma^(A^(k-1)).
 
-        Computed by repeated squaring through :meth:`compose`, so it takes
-        O(log k) compositions; iterates of one map commute, so the order in
-        which the binary digits are combined does not matter.
+        Computed by :func:`_iterate_layers` on gamma's exponent layers, so it
+        multiplies no coordinates; the first iterate is the map itself.
         """
         if k < 1:
             raise ValueError("iterate count must be >= 1")
-        result = None
-        square = self
-        while True:
-            if k & 1:
-                result = square if result is None else square.compose(result)
-            k >>= 1
-            if not k:
-                return result
-            square = square.compose(square)
+        if k == 1:
+            return self
+        den, primes, (layers,) = layers_of([self.translation])
+        a, g = _iterate_layers(self.matrix, den, layers, k)
+        return AffineMonomialMap(a, from_layers(den, primes, g))
 
     def orbit(self, x: Point, n: int) -> list[Point]:
         """The first n points x, phi(x), ..., phi^(n-1)(x)."""
@@ -109,6 +105,44 @@ class AffineMonomialMap:
         for _ in range(n - 1):
             out.append(self.apply(out[-1]))
         return out
+
+
+def _torsion_step(rows: list[list[int]], den: int, t: list[int], g: list[int]) -> list[int]:
+    """The torsion layer of gamma * x^A from x's and gamma's torsion layers, mod den."""
+    return [(sum(map(mul, row, t)) + c) % den for row, c in zip(rows, g)]
+
+
+def _prime_step(rows: list[list[int]], exps: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """The prime layers of gamma * x^A from x's and gamma's prime layers."""
+    return [[sum(map(mul, row, e)) + c for row, c in zip(rows, ge)] for e, ge in zip(exps, g)]
+
+
+def _affine_step(rows: list[list[int]], den: int, x: PointLayers, g: PointLayers) -> PointLayers:
+    """gamma * x^A on exponent layers: one integer mat-vec per layer, torsion mod den."""
+    return [_torsion_step(rows, den, x[0], g[0])] + _prime_step(rows, x[1:], g[1:])
+
+
+def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[IntMatrix, PointLayers]:
+    """(A^k, the layers of gamma_k) for the k-th iterate of x -> gamma * x^A, gamma on layers over den.
+
+    Repeated squaring, O(log k) compositions: a map (B, h) after (C, f) is
+    (B*C, h + B*f), the torsion layer mod den.  Iterates of one map commute,
+    so the order in which the binary digits are combined does not matter.
+    """
+
+    def compose(outer, inner):
+        (b, h), (c, f) = outer, inner
+        return b * c, _affine_step(b.to_rows(), den, f, h)
+
+    result = None
+    square = (a, g)
+    while True:
+        if k & 1:
+            result = square if result is None else compose(square, result)
+        k >>= 1
+        if not k:
+            return result
+        square = compose(square, square)
 
 
 @dataclass(frozen=True)

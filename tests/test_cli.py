@@ -277,9 +277,15 @@ def test_negative_seed_flag_exits_2_on_every_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_periodic_budget_must_be_positive(tmp_path, capsys, value):
-    assert main(["periodic", _write_spec(tmp_path, DENSE), "-d", "7", "--budget", value]) == 2
-    assert "--budget must be positive" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, flag",
+    [("periodic", "budget"), ("periodic", "modulus"), ("orbit", "length"), ("check-density", "budget")],
+)
+def test_periodic_budget_must_be_positive(tmp_path, capsys, command, flag, value):
+    # a length, budget or modulus below 1 is a bad flag (exit 2), refused before any work
+    extra = {"periodic": ["-d", "7"], "orbit": ["--point", "2,3"], "check-density": ["--point", "2,3"]}[command]
+    assert main([command, _write_spec(tmp_path, DENSE), *extra, f"--{flag}", value]) == 2
+    assert f"--{flag} must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", ["1/1000000000", "1/100001", "0", "-1/10", "1/0", "abc"])

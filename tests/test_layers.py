@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import (
     CosetFamily,
-    _affine_step,
     _torsion_orbits_exact_order,
     decompose,
     dynamical_degree,
@@ -25,7 +24,7 @@ from torusdyn.intlinalg import IntMatrix, mat_vec, minpoly
 from torusdyn.kummer import KummerNumber, format_point, from_layers, layer_orders, layers_of, parse_point
 from torusdyn.oracle import hypersurface_containment
 from torusdyn.polyalg import cyclotomic_part
-from torusdyn.torus import AffineMonomialMap, Coset, coset_cycle_invariant, subtorus_image_under
+from torusdyn.torus import AffineMonomialMap, Coset, _affine_step, coset_cycle_invariant, subtorus_image_under
 
 from conftest import prime_power, rand_point, rand_unimodular_pair
 

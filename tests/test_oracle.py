@@ -12,13 +12,12 @@ from torusdyn.cli import load_map_spec
 from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_family_points
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
-from torusdyn import oracle
+from torusdyn import kummer, oracle
 from torusdyn.kummer import char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
     ModularEmbedding,
     _discrete_logs,
     _evaluation_rows,
-    _factor,
     _generator_mod,
     _monomial_steps,
     _monomials,
@@ -162,7 +161,7 @@ def test_discrete_logs_work_with_the_largest_prime_of_q_minus_1():
     # group would need about 2^38 table entries, Pohlig-Hellman one per digit
     # against tables of at most ceil(sqrt(1019)) = 32
     q = 2**20 * 3**10 * 5**6 * 7**3 * 11 * 13 * 1019 + 1
-    assert is_prime(q) and _factor(q - 1) == [(2, 20), (3, 10), (5, 6), (7, 3), (11, 1), (13, 1), (1019, 1)]
+    assert is_prime(q) and list(kummer.factorize(q - 1).items()) == [(2, 20), (3, 10), (5, 6), (7, 3), (11, 1), (13, 1), (1019, 1)]
     g = _generator_mod(q)
     hs = [2, 3, 5, 7, q - 1]
     start = time.perf_counter()
@@ -173,7 +172,7 @@ def test_discrete_logs_work_with_the_largest_prime_of_q_minus_1():
 
 
 def test_factor_matches_brute_force():
-    assert _factor(1) == []
+    assert list(kummer.factorize(1).items()) == []
     for n in range(2, 5001):
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
         want = []
@@ -182,7 +181,34 @@ def test_factor_matches_brute_force():
             while n % p ** (e + 1) == 0:
                 e += 1
             want.append((p, e))
-        assert _factor(n) == want, n
+        assert list(kummer.factorize(n).items()) == want, n
+
+
+def test_every_scanned_prime_meets_the_embedding_preconditions(monkeypatch):
+    # _try_embedding relies on build_embedding's scan for three facts; check each
+    # with plain pow on every prime the scan hands it, over orders within the caps
+    seen = []
+    real = oracle._try_embedding
+
+    def recording(torsion_lcm, needed, q):
+        seen.append((torsion_lcm, dict(needed), q))
+        return real(torsion_lcm, needed, q)
+
+    monkeypatch.setattr(oracle, "_try_embedding", recording)
+    rng = random.Random(1187)
+    for _ in range(40):
+        torsion_lcm = rng.choice([1, 2, 3, 4, 12, 60, rng.randint(1, 1000), rng.randint(1, oracle.TORSION_LCM_CAP)])
+        needed = {}
+        for p in rng.sample([2, 3, 5, 7, 11, 13, 999983], rng.randint(0, 3)):
+            n_p = rng.choice([1, 2, 3, 4, 6, 8, 10])
+            if math.prod(needed.values()) * n_p <= oracle.RADICAL_COST_CAP:
+                needed[p] = n_p
+        build_embedding(torsion_lcm, needed, random.Random(rng.randrange(10**6)), retries=4)
+    assert len(seen) >= 40
+    for torsion_lcm, needed, q in seen:
+        assert (q - 1) % torsion_lcm == 0
+        assert all(p % q for p in needed)
+        assert all(pow(p, (q - 1) // n_p, q) == 1 for p, n_p in needed.items())
 
 
 def test_embedding_is_homomorphism():
@@ -230,6 +256,8 @@ def test_containment_counts_monomials_before_listing_them():
         # radical cost at RADICAL_COST_CAP once the shared 5^(1/999983) is divided out
         ("5^(1/999983)", "5^(1/999983) * 2^(1/4000)", True),
         ("5^(1/999983)", "5^(1/999983) * 2^(1/4001)", False),
+        # a degenerate sample: the one coordinate takes one value, and x - 3 vanishes on both points
+        ("3", "3", False),
     ],
 )
 def test_containment_caps_decide_before_any_prime(first, second, tried, monkeypatch):

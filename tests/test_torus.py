@@ -43,6 +43,7 @@ def test_composition_convention():
 def test_iterate_examples():
     phi = AffineMonomialMap.build([[1, 1], [0, 1]], parse_point(["1", "3"]))
     assert phi.iterate(1) == phi
+    assert phi.iterate(1) is phi
     it2 = phi.iterate(2)
     assert it2.matrix.to_rows() == [[1, 2], [0, 1]]
     assert it2.translation == parse_point(["3", "9"])
