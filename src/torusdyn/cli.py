@@ -99,6 +99,8 @@ def load_map_spec(path: str) -> MapSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"map spec {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # CPython's int-from-str digit limit, in words that differ between versions
+        raise ParseError(f"map spec {path} has an integer past the interpreter's int-from-str digit limit") from exc
     if not isinstance(doc, dict) or "matrix" not in doc or "gamma" not in doc:
         raise ParseError("map spec must be an object with 'matrix' and 'gamma'")
     matrix = doc["matrix"]

@@ -261,14 +261,6 @@ def wildness_certificate(phi: AffineMonomialMap, certificate: tuple[int, int] | 
 # -- decomposition ---------------------------------------------------------------
 
 
-def _normalized(phi: AffineMonomialMap, spectrum: Spectrum) -> tuple[int, AffineMonomialMap]:
-    """(l0, phi^l0) with l0 the lcm of the cyclotomic orders in the minimal
-    polynomial, so 1 is the only root of unity among the eigenvalues of phi^l0."""
-    factors, _ = spectrum.cyclotomic
-    l0 = math.lcm(*(d for d, _ in factors))
-    return l0, phi.iterate(l0) if l0 > 1 else phi
-
-
 def _preimage(m: IntMatrix, x: Point) -> Point:
     """The point y with y^m = x, for m invertible over Q: one rational elimination, x's layers its right-hand sides."""
     den, primes, (layers,) = layers_of([x])
@@ -315,7 +307,10 @@ class Decomposition:
 def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decomposition:
     """Split phi (after a normalizing iterate) along the multiplicity of eigenvalue 1."""
     spectrum = spectrum or spectral_data(phi.matrix)
-    l0, base = _normalized(phi, spectrum)
+    # l0, the lcm of the cyclotomic orders in the minimal polynomial, leaves 1
+    # the only root of unity among the eigenvalues of phi^l0
+    l0 = math.lcm(*(d for d, _ in spectrum.cyclotomic[0]))
+    base = phi.iterate(l0)
     a = base.matrix
     n = phi.dim
     factors, q = (spectrum if l0 == 1 else spectral_data(a)).cyclotomic
@@ -358,13 +353,6 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
     assert monomial_image(m2, beta2) == s2
     beta2_embedded = x2.embed(beta2)
 
-    ident = one_point(k2)
-    t_b = AffineMonomialMap(IntMatrix.identity(k2), beta2)
-    t_b_inv = AffineMonomialMap(IntMatrix.identity(k2), tuple(c.inverse() for c in beta2))
-    conj = t_b.compose(phi2.compose(t_b_inv))
-    assert conj.translation == ident, "conjugation must remove the translation"
-    assert conj.matrix.entries == a2.entries
-
     return Decomposition(
         base_map=base,
         normalize_iterate=l0,
@@ -380,7 +368,7 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
         phi2=phi2,
         beta2=beta2,
         beta2_embedded=beta2_embedded,
-        conjugated_phi2=conj,
+        conjugated_phi2=AffineMonomialMap(a2, one_point(k2)),
     )
 
 
@@ -424,8 +412,8 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
         raise PreconditionError("endomorphism matrix must be square")
     if d < 1:
         raise PreconditionError("torsion order must be positive")
-    if math.gcd(d, abs(a2.det())) != 1:
-        raise PreconditionError(f"torsion order {d} shares a factor with |det| = {abs(a2.det())}")
+    if (shared := math.gcd(d, a2.det())) != 1:
+        raise PreconditionError(f"torsion order {d} shares the factor {shared} with det")
     rows = a2.to_rows()
     out: list[tuple[Point, int]] = []
     vectors = list(itertools.islice(_residue_vectors(d, a2.rows), budget))

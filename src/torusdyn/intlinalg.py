@@ -89,9 +89,6 @@ class IntMatrix:
         self._same_shape(other)
         return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def _same_shape(self, other: IntMatrix):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -399,8 +396,6 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.rank == 0 or b.rank == 0:
-        return Lattice.zero(a.ambient_dim)
     stacked = IntMatrix.from_rows(list(a.basis) + [[-x for x in row] for row in b.basis], a.ambient_dim)
     ker = left_kernel_saturated(stacked)
     gens = [vec_mat(row[: a.rank], a.basis_matrix()) for row in ker.basis]
@@ -515,24 +510,29 @@ def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:
 # -- linear solving ------------------------------------------------------------
 
 
+def _reduce_rational(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan on rows in place, pivoting in the first ncols columns; the pivot columns."""
+    piv_cols: list[int] = []
+    for j in range(ncols):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = rows[r][j]
+        rows[r] = [a / f for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                g = rows[i][j]
+                rows[i] = [a - g * c for a, c in zip(rows[i], rows[r])]
+        piv_cols.append(j)
+    return piv_cols
+
+
 def rational_rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q of a list of rows (ints or Fractions)."""
     work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        f = work[rank][j]
-        work[rank] = [a / f for a in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j]:
-                g = work[i][j]
-                work[i] = [a - g * c for a, c in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    return len(_reduce_rational(work, len(work[0]) if work else 0))
 
 
 def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction, ...] | None | list:
@@ -545,21 +545,8 @@ def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction
     if any(len(c) != m.rows for c in rhs):
         raise ValueError("dimension mismatch")
     rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(c[i]) for c in rhs] for i in range(m.rows)]
-    piv_cols: list[int] = []
-    r = 0
-    for j in range(m.cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][j]
-        rows[r] = [a / f for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                g = rows[i][j]
-                rows[i] = [a - g * c for a, c in zip(rows[i], rows[r])]
-        piv_cols.append(j)
-        r += 1
+    piv_cols = _reduce_rational(rows, m.cols)
+    r = len(piv_cols)
     sols: list[tuple[Fraction, ...] | None] = []
     for k in range(m.cols, m.cols + len(rhs)):
         x = [Fraction(0)] * m.cols

@@ -152,12 +152,8 @@ class KummerNumber:
         if q == 0:
             raise ValueError("0 is not invertible")
         t = Fraction(0) if q > 0 else Fraction(1, 2)
-        exps: dict[int, Fraction] = {}
-        for p, m in factorize(abs(q.numerator)).items():
-            exps[p] = exps.get(p, Fraction(0)) + m
-        for p, m in factorize(q.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - m
-        return KummerNumber.build(t, exps)
+        num, den = factorize(abs(q.numerator)), factorize(q.denominator)
+        return KummerNumber.build(t, [*num.items(), *((p, -m) for p, m in den.items())])
 
     # -- group operations --------------------------------------------------
 
@@ -410,10 +406,7 @@ def _parse_factor(tok: str) -> KummerNumber:
         if base < 2:
             raise ParseError(f"power base must be >= 2 in {tok!r}")
         # non-prime bases distribute over their prime factorization
-        acc = KummerNumber.one()
-        for p, mult in factorize(base).items():
-            acc = acc * KummerNumber.build(0, {p: exp * mult})
-        return acc
+        return KummerNumber.build(0, {p: exp * mult for p, mult in factorize(base).items()})
     m = _RATIONAL_RE.match(tok)
     if m:
         num = int(m.group(1))

@@ -79,8 +79,8 @@ def finite_model_run(phi: AffineMonomialMap, d: int) -> FiniteModelRun:
     if d < 1:
         raise PreconditionError("modulus must be positive")
     n = phi.dim
-    if math.gcd(d, abs(phi.det)) != 1:
-        raise PreconditionError(f"modulus {d} shares a factor with |det A| = {abs(phi.det)}")
+    if (shared := math.gcd(d, phi.det)) != 1:
+        raise PreconditionError(f"modulus {d} shares the factor {shared} with det A")
     g = []
     for coord in phi.translation:
         if not coord.is_torsion():
@@ -269,8 +269,6 @@ def _consistent_branches(needed: dict[int, int], logs: dict[int, int], torsion_l
     torsion's cyclotomic field gets its Gauss-sum value.  Returns adjusted logs,
     or None if no consistent assignment exists modulo this prime."""
     even = sorted(p for p, n_p in needed.items() if n_p % 2 == 0)
-    if not even:
-        return logs
     rows = []  # (mask over `even`, required flip parity)
     for r in range(1, len(even) + 1):
         for subset in itertools.combinations(range(len(even)), r):

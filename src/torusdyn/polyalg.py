@@ -199,13 +199,11 @@ def quasi_unipotence(p: IntPoly, part: tuple | None = None) -> tuple[int, int] |
     l is the lcm of the cyclotomic orders in p and m the largest multiplicity.
     ``part`` is p's cyclotomic_part when the caller already has it.
     """
-    if p.degree == 0:
-        return (1, 1)
     factors, rem = part or cyclotomic_part(p)
     if not rem.is_one():
         return None
     ell = math.lcm(*(d for d, _ in factors))
-    m = max(mult for _, mult in factors)
+    m = max((mult for _, mult in factors), default=1)
     return (ell, m)
 
 
@@ -278,8 +276,11 @@ def spectral_radius(p: IntPoly, rel_tol) -> tuple[Fraction, Fraction]:
             lo_log = lo_j if lo_log is None else max(lo_log, lo_j)
             hi_log = hi_j if hi_log is None else max(hi_log, hi_j)
         assert lo_log is not None  # q(0) != 0
-        lo = Fraction(2.0 ** (lo_log / K - _LOG_SLOP))
-        hi = Fraction(2.0 ** ((1.0 + hi_log) / K + _LOG_SLOP))
+        try:
+            lo = Fraction(2.0 ** (lo_log / K - _LOG_SLOP))
+            hi = Fraction(2.0 ** ((1.0 + hi_log) / K + _LOG_SLOP))
+        except OverflowError:
+            raise OracleError(f"spectral radius near 2^{lo_log / K:.0f} is beyond the float range") from None
         if hi - lo <= tol * hi:
             return (lo, hi)
         if k >= _MAX_GRAEFFE:

@@ -416,6 +416,38 @@ def test_hostile_repros_end_in_bounded_time(argv, undecided_rc):
         assert proc.returncode == undecided_rc and "UNDECIDED" in proc.stdout, proc.stderr
 
 
+def _ten_to(k: int) -> str:
+    return "1" + "0" * k
+
+
+@pytest.mark.parametrize(
+    "matrix, argv, rc, message",
+    [
+        # past CPython's 4,300-digit limit on int-from-str, which json.loads meets as a plain ValueError
+        (f"[[{_ten_to(4400)}, 0], [0, 1]]", ["classify"], 2, "parse error: "),
+        # |det| = 10^4400 has too many digits to print in the precondition message
+        (f"[[{_ten_to(2200)}, 0], [0, {_ten_to(2200)}]]", ["periodic", "-d", "2"], 3, "precondition violated: "),
+        # a spectral radius of 10^320 is past the float range of the Graeffe bounds
+        (f"[[{_ten_to(320)}, 0], [0, 1]]", ["classify"], 4, "oracle failure: "),
+    ],
+    ids=["int-past-digit-limit", "det-too-long-to-print", "radius-past-float-range"],
+)
+def test_huge_entries_exit_with_a_message(tmp_path, matrix, argv, rc, message):
+    spec = tmp_path / "map.json"
+    spec.write_text(f'{{"matrix": {matrix}, "gamma": ["1", "1"]}}')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusdyn.cli", argv[0], str(spec), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
 def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, torusdyn.cli; print('numpy' in sys.modules)"
