@@ -29,13 +29,17 @@ from fractions import Fraction
 from functools import cache
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import dynamics, oracle
+from . import dynamics
 from .errors import OracleError, ParseError, PreconditionError
 from .intlinalg import IntMatrix
 from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, layers_of, parse_point, printable
 from .polyalg import IntPoly
 from .torus import AffineMonomialMap, Subtorus
+
+if TYPE_CHECKING:  # the oracle loads only in the commands that run the density test
+    from .oracle import ContainmentResult
 
 _OPTION_FIELDS = {
     "iterate_cap": int,
@@ -92,9 +96,11 @@ def _is_int(x) -> bool:
 
 def load_map_spec(path: str) -> MapSpec:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read map spec {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"map spec {path} is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -298,7 +304,7 @@ def _cmd_periodic(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig)
 
 def _cmd_orbit(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
     x = _parse_cli_point(args.point, phi.dim)
-    orbit = oracle.orbit_sample(phi, x, args.length)
+    orbit = phi.orbit(x, args.length)  # _check_flags refused a length < 1
     if not all(printable(c) for p in orbit for c in p):
         raise ParseError(
             f"an exponent of this orbit passes {PRINT_DIGIT_LIMIT} digits, the limit on printing an integer; "
@@ -310,6 +316,8 @@ def _cmd_orbit(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) ->
 
 
 def _cmd_check_density(args, phi: AffineMonomialMap, config: dynamics.ClassifyConfig) -> int:
+    from . import oracle
+
     x = _parse_cli_point(args.point, phi.dim)
     orbit = oracle.orbit_sample(phi, x, args.budget)
     result = oracle.hypersurface_containment(layers_of(orbit), config.degree_bound, config.seed, config.retries)
@@ -323,7 +331,7 @@ def _cmd_check_density(args, phi: AffineMonomialMap, config: dynamics.ClassifyCo
     return _strict_rc(args, result)
 
 
-def _strict_rc(args, density: oracle.ContainmentResult | None) -> int:
+def _strict_rc(args, density: ContainmentResult | None) -> int:
     """Exit code 4 under --strict when the density oracle ran and stayed UNDECIDED."""
     if args.strict and density is not None and not density.not_contained:
         print("density oracle returned UNDECIDED under --strict", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .intlinalg import (
@@ -36,6 +36,7 @@ from .intlinalg import (
     solve_rational,
     vec_mat,
 )
+from .kummer import RADICAL_COST_CAP, TORSION_LCM_CAP
 from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, layers_of, one_point
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
 from .torus import (
@@ -51,8 +52,9 @@ from .torus import (
     restrict_endomorphism,
     subtorus_image_under,
 )
-from . import oracle
-from .oracle import degenerate_sample
+
+if TYPE_CHECKING:  # the oracle loads when the density test first runs
+    from .oracle import ContainmentResult
 
 
 @dataclass(frozen=True)
@@ -406,7 +408,7 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     among them, and a later point of the same cycle reads it back.  Each
     returned pair is re-verified exactly, by one monomial image under
     a2^period mod d (which acts on points of order dividing d as a2^period
-    does).
+    does), a power taken once per distinct period.
     """
     if a2.rows != a2.cols:
         raise PreconditionError("endomorphism matrix must be square")
@@ -419,6 +421,7 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     vectors = list(itertools.islice(_residue_vectors(d, a2.rows), budget))
     wanted = set(vectors)
     periods: dict[tuple[int, ...], int] = {}  # the cycle length of each wanted point on a walked cycle
+    powers: dict[int, IntMatrix] = {}  # a2^period mod d, by period
     for u in vectors:
         period = periods.get(u)
         if period is None:
@@ -426,7 +429,9 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
             period = len(orbit)
             periods.update(dict.fromkeys(wanted.intersection(orbit), period))
         point = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
-        assert monomial_image(pow(a2, period, d), point) == point, "period verification failed"
+        if period not in powers:
+            powers[period] = pow(a2, period, d)
+        assert monomial_image(powers[period], point) == point, "period verification failed"
         out.append((point, period))
     return out
 
@@ -596,8 +601,8 @@ def sample_family_points(
     seed: int,
     per_coset: int = 3,
     cap: int = 200,
-    torsion_lcm_cap: int = oracle.TORSION_LCM_CAP,
-    radical_cost_cap: int = oracle.RADICAL_COST_CAP,
+    torsion_lcm_cap: int = TORSION_LCM_CAP,
+    radical_cost_cap: int = RADICAL_COST_CAP,
 ) -> tuple[int, tuple[int, ...], list[PointLayers]]:
     """Deterministic sample of points on the family cosets (for density checks).
 
@@ -685,7 +690,7 @@ class ClassificationReport:
     fibration: FibrationWitness | None
     wildness: WildnessCertificate | None
     family: tuple[CosetFamily, ...]
-    density: "oracle.ContainmentResult | None"
+    density: ContainmentResult | None
     flags: tuple[str, ...]
 
 
@@ -727,12 +732,16 @@ def _family_with_density(phi: AffineMonomialMap, config: ClassifyConfig, spectru
 
     A degenerate sample is redrawn from grid cycles, the new ones appended to
     the family; when none exist or their sample is degenerate too, the
-    oracle's gate makes the result UNDECIDED with no prime tried.
+    oracle's gate makes the result UNDECIDED with no prime tried.  This is
+    the one entry to the density test, and the oracle is imported here, so
+    only a command that reaches the test loads it.
     """
+    from . import oracle
+
     source = _cycle_source(phi, spectrum)
     families = invariant_family(phi, config.family_budget, config.torsion_cap, source)
     pts = sample_family_points(families, config.seed, cap=config.point_budget)
-    grid = degenerate_sample(pts, config.degree_bound) and _grid_cycles(*source, config)
+    grid = oracle.degenerate_sample(pts, config.degree_bound) and _grid_cycles(*source, config)
     if grid:
         families += [fam for fam, fresh in grid if fresh]
         pts = sample_family_points([fam for fam, _ in grid], config.seed, cap=config.point_budget)

@@ -362,6 +362,14 @@ def from_layers(den: int, primes: Sequence[int], layers: PointLayers) -> Point:
     )
 
 
+# The density test's bounds on what layer_orders measures of a shifted sample.
+# Above either, it is UNDECIDED before its prime scan: the torsion lcm (q = 1
+# mod it, and q - 1 is trial-divided) and the radical cost (the product of the
+# N_p, about the primes scanned per admissible one).
+TORSION_LCM_CAP = 1_000_000
+RADICAL_COST_CAP = 4000
+
+
 def layer_orders(
     den: int, primes: Sequence[int], points: Sequence[PointLayers], anchor: PointLayers | None = None
 ) -> tuple[int, dict[int, int]]:

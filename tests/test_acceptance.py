@@ -14,7 +14,6 @@ from torusdyn.dynamics import (
     classify,
     ClassifyConfig,
     decompose,
-    degenerate_sample,
     find_invariant_fibration,
     invariant_family,
     periodic_torsion_points,
@@ -29,13 +28,8 @@ from torusdyn.intlinalg import (
     minpoly,
 )
 from torusdyn.kummer import char_eval, layers_of, one_point, parse_point
-from torusdyn.oracle import (
-    finite_model_run,
-    hypersurface_containment,
-    invariant_coset_search,
-    numeric_roots,
-    orbit_sample,
-)
+from torusdyn.oracle import degenerate_sample, hypersurface_containment, orbit_sample
+from torusdyn.reference import finite_model_run, invariant_coset_search, numeric_roots
 from fractions import Fraction
 
 from torusdyn.polyalg import IntPoly, cyclotomic, euler_phi, quasi_unipotence, spectral_radius

@@ -455,6 +455,70 @@ def test_import_leaves_numpy_unloaded():
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
+def _modules_loaded_by(argv: list[str]) -> tuple[int, bool, bool]:
+    """The exit code of one command in a fresh interpreter, and whether it
+    loaded torusdyn.oracle and torusdyn.reference."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import contextlib, io, sys, torusdyn.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = torusdyn.cli.main(sys.argv[1:])\n"
+        "print(rc, 'torusdyn.oracle' in sys.modules, 'torusdyn.reference' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, oracle, reference = proc.stdout.split()
+    return int(rc), oracle == "True", reference == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "example_wild.json"],
+        ["classify", "example_fibration.json"],
+        ["fibration", "example_fibration.json"],
+        ["wild", "example_shear_wild.json"],
+        ["decompose", "example_dense.json"],
+        ["periodic", "example_dense.json", "-d", "7"],
+        ["orbit", "example_dense.json", "--point", "2,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_off_the_density_path_load_neither_oracle_nor_reference(argv):
+    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, False, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "example_dense.json"], ["check-density", "example_dense.json", "--point", "2,3"]],
+    ids=lambda argv: argv[0],
+)
+def test_density_commands_load_the_oracle_but_not_the_reference(argv):
+    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, True, False)
+
+
+def test_every_exported_name_resolves():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import torusdyn\n"
+        "from torusdyn import *\n"
+        "print([n for n in torusdyn.__all__ if n not in globals()])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+    import torusdyn
+
+    with pytest.raises(AttributeError):
+        torusdyn.no_such_name
+
+
+def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["classify", str(path)]) == 2
+    assert f"parse error: map spec {path} is not UTF-8: " in capsys.readouterr().err
+
+
 def test_map_spec_round_trip(tmp_path):
     path = _write_spec(tmp_path, {"matrix": [[1, 0], [0, 1]], "gamma": ["2/1", "zeta(6)^7"], "options": {"seed": 2}})
     spec = load_map_spec(path)

@@ -19,7 +19,6 @@ from torusdyn.dynamics import (
     _preimage,
     _residue_vectors,
     classify,
-    degenerate_sample,
     decompose,
     dynamical_degree,
     find_invariant_fibration,
@@ -34,6 +33,7 @@ from torusdyn.intlinalg import minpoly, vec_mat
 from torusdyn.kummer import KummerNumber, char_eval, from_layers, layers_of, one_point, parse_point
 from torusdyn.polyalg import IntPoly
 from torusdyn import oracle
+from torusdyn.oracle import degenerate_sample
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
 from conftest import rand_point, rand_unimodular_pair, rand_unipotent_automorphism

@@ -23,12 +23,10 @@ from torusdyn.oracle import (
     _monomials,
     _rank_mod,
     build_embedding,
-    finite_model_run,
     hypersurface_containment,
-    invariant_coset_search,
-    numeric_roots,
     orbit_sample,
 )
+from torusdyn.reference import finite_model_run, invariant_coset_search, numeric_roots
 from torusdyn.polyalg import IntPoly, cyclotomic, quasi_unipotence, spectral_radius
 from torusdyn.torus import AffineMonomialMap
 
