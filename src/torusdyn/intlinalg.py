@@ -13,7 +13,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .kummer import is_prime
 from .polyalg import IntPoly
 
 
@@ -433,64 +432,40 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly.from_coeffs(list(reversed(coeffs_high)))
 
 
-def _minpoly_mod(m: IntMatrix, q: int) -> IntPoly | None:
-    """The first linear dependence among vec(I), vec(m), vec(m^2), ... modulo q.
-
-    Row-by-row echelon reduction carries each power's combination of the
-    earlier powers along; the dependence is returned monic with coefficients
-    lifted into (-q/2, q/2].  None when a pivot is not a unit mod q (q
-    composite).  Cayley-Hamilton holds mod q, so the dependence comes by m^n.
-    """
-    n = m.rows
-    pivots: dict[int, tuple[list[int], list[int]]] = {}  # column j -> (row[j:], combination), scaled to row[j] = 1
-    power = IntMatrix.identity(n)
-    for k in range(n + 1):
-        v = list(power.entries)
-        c = [0] * (n + 1)
-        c[k] = 1
-        for j in range(n * n):
-            x = v[j] % q
-            if not x:
-                continue
-            piv = pivots.get(j)
-            if piv is None:
-                if math.gcd(x, q) != 1:
-                    return None
-                inv = pow(x, -1, q)
-                pivots[j] = ([y * inv % q for y in v[j:]], [y * inv % q for y in c])
-                break
-            row, comb = piv
-            v[j:] = [a - x * b for a, b in zip(v[j:], row)]
-            c = [a - x * b for a, b in zip(c, comb)]
-        else:
-            c = [a % q for a in c[: k + 1]]
-            return IntPoly.from_coeffs([a - q if 2 * a > q else a for a in c])
-        power = power * m
-    raise AssertionError("no dependence by m^n: Cayley-Hamilton fails mod q")
-
-
 def minpoly(m: IntMatrix) -> IntPoly:
-    """Minimal polynomial: a dependence found modulo a prime, checked exactly.
+    """Minimal polynomial: the first integer dependence among vec(I), vec(m), vec(m^2), ...
 
-    Every eigenvalue is at most r, the largest absolute row sum, in absolute
-    value, so every coefficient of the minimal polynomial mu is at most
-    (1+r)^n; the first prime q above twice that makes the symmetric lift of
-    mu mod q equal mu.  Whatever q is, the result is exact: unit pivots make
-    I, m, ..., m^(k-1) independent over Q, so deg mu >= k, and p(m) = 0
-    gives mu | p, so the monic p of degree k is mu.  When p(m) != 0 (q
-    divides a minor of the power vectors) the next prime is tried.
+    Fraction-free elimination over Z (as in Bareiss): vec(m^k), carrying its
+    combination c = e_k of the powers, is reduced against the stored rows in
+    order, v <- a*v - b*row and c <- a*c - b*comb with a = row[j] != 0 and
+    b = v[j] at the row's pivot column j; a row is zero in every earlier
+    row's pivot column.  A nonzero v is stored divided by the content of
+    (v, c).  The first v to reach zero gives c = c[k] * mu, and mu is monic
+    over Z (Gauss's lemma), so every division below is exact.
     """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
-    r = max((sum(abs(x) for x in m.row(i)) for i in range(n)), default=0)
-    q = 2 * (1 + r) ** n
-    while True:
-        q += 1
-        if is_prime(q):
-            p = _minpoly_mod(m, q)
-            if p is not None and evaluate_poly(p, m).is_zero():
-                return p
+    rows: list[tuple[int, list[int], list[int]]] = []  # (pivot column, row, combination)
+    power = IntMatrix.identity(n)
+    for k in range(n + 1):
+        v = list(power.entries)
+        c = [int(i == k) for i in range(n + 1)]
+        for j, row, comb in rows:
+            b = v[j]
+            if b:
+                a = row[j]
+                v = [a * x - b * y for x, y in zip(v, row)]
+                c = [a * x - b * y for x, y in zip(c, comb)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is None:
+            lead = c[k]
+            assert lead and all(x % lead == 0 for x in c)
+            return IntPoly.from_coeffs([x // lead for x in c[: k + 1]])
+        g = math.gcd(*v, *c)
+        rows.append((j, [x // g for x in v], [x // g for x in c]))
+        power = power * m
+    raise AssertionError("no dependence by m^n: Cayley-Hamilton fails")
 
 
 def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:

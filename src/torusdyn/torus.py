@@ -101,6 +101,8 @@ class AffineMonomialMap:
 
     def orbit(self, x: Point, n: int) -> list[Point]:
         """The first n points x, phi(x), ..., phi^(n-1)(x)."""
+        if n < 1:
+            raise ValueError("orbit length must be >= 1")
         out = [tuple(x)]
         for _ in range(n - 1):
             out.append(self.apply(out[-1]))
@@ -295,10 +297,11 @@ def coset_invariant(phi: AffineMonomialMap, c: Coset) -> bool:
 
 def coset_cycle_invariant(phi: AffineMonomialMap, cycle: list[Coset] | tuple[Coset, ...]) -> bool:
     """phi maps each coset in the cycle onto the next (cyclically), so the union is invariant."""
-    n = len(cycle)
-    if n == 0:
-        return False
-    for i, c in enumerate(cycle):
-        if not coset_image(phi, c).same_set(cycle[(i + 1) % n]):
+    images: dict[Subtorus, Subtorus] = {}  # a family's cosets share few subtori: one image each
+    for c, nxt in zip(cycle, [*cycle[1:], *cycle[:1]]):
+        image = images.get(c.torus)
+        if image is None:
+            image = images[c.torus] = subtorus_image_under(phi.matrix, c.torus)
+        if image != nxt.torus or not membership(phi.apply(c.base), nxt):  # coset_image(phi, c).same_set(nxt)
             return False
-    return True
+    return bool(cycle)

@@ -429,8 +429,18 @@ def _ten_to(k: int) -> str:
         (f"[[{_ten_to(2200)}, 0], [0, {_ten_to(2200)}]]", ["periodic", "-d", "2"], 3, "precondition violated: "),
         # a spectral radius of 10^320 is past the float range of the Graeffe bounds
         (f"[[{_ten_to(320)}, 0], [0, 1]]", ["classify"], 4, "oracle failure: "),
+        # 10^3000 * I: the exact minimal polynomial x - 10^3000 comes at once, then the radius is past the float range
+        (f"[[{_ten_to(3000)}, 0], [0, {_ten_to(3000)}]]", ["classify"], 4, "oracle failure: "),
+        # decompose needs no spectral radius, so it answers with empty stderr
+        (f"[[{_ten_to(3000)}, 0], [0, {_ten_to(3000)}]]", ["decompose"], 0, ""),
     ],
-    ids=["int-past-digit-limit", "det-too-long-to-print", "radius-past-float-range"],
+    ids=[
+        "int-past-digit-limit",
+        "det-too-long-to-print",
+        "radius-past-float-range",
+        "scalar-3000-digits-classify",
+        "scalar-3000-digits-decompose",
+    ],
 )
 def test_huge_entries_exit_with_a_message(tmp_path, matrix, argv, rc, message):
     spec = tmp_path / "map.json"
@@ -445,7 +455,8 @@ def test_huge_entries_exit_with_a_message(tmp_path, matrix, argv, rc, message):
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == rc, proc.stderr
-    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message) if message else not proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_import_leaves_numpy_unloaded():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusdyn import intlinalg
 from torusdyn.intlinalg import (
     IntMatrix,
     Lattice,
@@ -351,6 +350,7 @@ _BIG = IntMatrix.from_rows([[10**6, 1, 0, 0], [0, 10**6, 0, 0], [0, 0, -(10**6),
 @example(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
 @example(IntMatrix.identity(6) * 7)
 @example(_BIG)
+@example(IntMatrix.from_rows([[1, 0], [0, 8]]))
 def test_minpoly_matches_rational_dependence(m):
     assert minpoly(m) == _reference_minpoly(m)
 
@@ -359,25 +359,6 @@ def test_minpoly_modulus_can_pass_the_miller_rabin_limit():
     # the first modulus tried is the first prime above 2 * (1 + r)^n, r = 10^6 + 1
     assert 2 * (2 + 10**6) ** 4 > MILLER_RABIN_LIMIT
     assert minpoly(_BIG) == IntPoly.from_coeffs([-(10**6), 1]) ** 2 * IntPoly.from_coeffs([10**6, 1])
-
-
-def test_minpoly_moves_to_the_next_prime(monkeypatch):
-    # mod 7, diag(1, 8) is the identity: the first dependence is x - 1, and p(A) = 0 rejects it
-    a = IntMatrix.from_rows([[1, 0], [0, 8]])
-    assert intlinalg._minpoly_mod(a, 7) == IntPoly.from_coeffs([-1, 1])
-    # a pivot that is not a unit (composite modulus) gives no answer
-    assert intlinalg._minpoly_mod(a, 49) is None
-    real = intlinalg._minpoly_mod
-    for bad in (7, 49):
-        moduli = []
-
-        def first_modulus_bad(m, q):
-            moduli.append(q)
-            return real(m, bad if len(moduli) == 1 else q)
-
-        monkeypatch.setattr(intlinalg, "_minpoly_mod", first_modulus_bad)
-        assert minpoly(a) == IntPoly.from_coeffs([8, -9, 1])
-        assert moduli == [163, 167]  # the primes above 2 * (1 + 8)^2 = 162
 
 
 def test_solve_rational():

@@ -66,6 +66,16 @@ def test_iterate_functoriality():
         assert y == phi.iterate(a).apply(x)
 
 
+def test_orbit_examples():
+    phi = AffineMonomialMap.build([[1, 1], [0, 1]], parse_point(["1", "3"]))
+    x = parse_point(["2", "5"])
+    assert phi.orbit(x, 1) == [x]
+    assert phi.orbit(x, 3) == [x, phi.apply(x), phi.apply(phi.apply(x))]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="orbit length must be >= 1"):
+            phi.orbit(x, n)
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         AffineMonomialMap.build([[1, 1], [1, 1]], one_point(2))
@@ -193,6 +203,29 @@ def test_coset_invariance_torsion_cycle():
     img = coset_image(squaring, c)
     assert img.same_set(Coset(parse_point(["zeta(3)^2", "1"]), line))
     assert coset_cycle_invariant(squaring, [c, img])
+
+
+def test_coset_cycle_invariant_rejects_broken_cycles():
+    # every verdict agrees with checking coset_image(phi, c).same_set(next) coset by coset
+    squaring = AffineMonomialMap.build([[2, 0], [0, 2]], one_point(2))
+    shear = AffineMonomialMap.build([[1, 1], [0, 1]], parse_point(["1", "3"]))
+    line = Subtorus.from_cochar_columns(IntMatrix.from_rows([[0], [1]]))
+    c = Coset(parse_point(["zeta(3)", "1"]), line)
+    img = coset_image(squaring, c)
+    cases = [
+        (squaring, [], False),
+        (squaring, [c], False),
+        (squaring, [c, img], True),
+        (squaring, [img, c], True),
+        (squaring, [c, img, c], False),
+        (shear, [c, c], False),  # the image of the line is the diagonal line
+        (shear, [c, coset_image(shear, c)], False),
+    ]
+    for phi, cycle, want in cases:
+        pairwise = bool(cycle) and all(
+            coset_image(phi, a).same_set(cycle[(i + 1) % len(cycle)]) for i, a in enumerate(cycle)
+        )
+        assert coset_cycle_invariant(phi, cycle) == pairwise == want
 
 
 def test_coset_invariant_random_members():
