@@ -11,8 +11,8 @@ strings:
 
 Subcommands: classify, fibration, wild, decompose, periodic, orbit,
 check-density.  Machine-readable output (--json) is canonical: identical
-spec and seed give byte-identical bytes.  A report's JSON is its dataclass
-fields, apart from the exceptions in _FIELD_EXCEPTIONS.
+spec and seed give byte-identical bytes.  A report's JSON is its record
+fields (torusdyn.record), apart from the exceptions in _FIELD_EXCEPTIONS.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation or exhausted
 memory or recursion depth, 4 oracle UNDECIDED under --strict.
@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
@@ -36,6 +35,7 @@ from .errors import OracleError, ParseError, PreconditionError
 from .intlinalg import IntMatrix
 from .kummer import PRINT_DIGIT_LIMIT, KummerNumber, format_point, layers_of, parse_point, printable
 from .polyalg import IntPoly
+from .record import Record
 from .torus import AffineMonomialMap, Subtorus
 
 if TYPE_CHECKING:  # the oracle loads only in the commands that run the density test
@@ -53,8 +53,7 @@ _OPTION_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     matrix: tuple[tuple[int, ...], ...]
     gamma: tuple[str, ...]
     options: dict
@@ -172,13 +171,13 @@ def _config_from(spec: MapSpec, args) -> dynamics.ClassifyConfig:
             options[key] = flag
     tol = _tolerance(options.pop("tolerance", None))
     force_family = bool(getattr(args, "force_family", False))
-    return replace(dynamics.ClassifyConfig(), **options, rel_tol=tol, force_family=force_family)
+    return dynamics.ClassifyConfig(**options, rel_tol=tol, force_family=force_family)
 
 
 # -- serialization --------------------------------------------------------------
 
 
-# Where a report's JSON departs from its dataclass fields, keyed by (type, field):
+# Where a report's JSON departs from its record fields, keyed by (type, field):
 # None leaves the field out, and (key, read) writes read(obj) under key.  A key
 # that is not a field of the type adds it.
 _FIELD_EXCEPTIONS = {
@@ -190,6 +189,8 @@ _FIELD_EXCEPTIONS = {
     (dynamics.Decomposition, "conjugated_phi2"): ("conjugated_translation", attrgetter("conjugated_phi2.translation")),
     (dynamics.ClassificationReport, "degree"): ("dynamical_degree", attrgetter("degree")),
     (dynamics.ClassificationReport, "family"): ("invariant_family", attrgetter("family")),
+    (dynamics.CosetFamily, "torus"): None,
+    (dynamics.CosetFamily, "layers"): None,
     (dynamics.CosetFamily, "cycle"): ("cycle", attrgetter("cycle")),
 }
 _TEXT_LEAVES = (Fraction, KummerNumber, IntPoly)
@@ -205,22 +206,22 @@ def to_jsonable(obj):
 def _encoder(cls) -> Callable:
     """How to_jsonable encodes an object of type cls, chosen once per type.
 
-    A dataclass gives each of its repr fields, apart from the exceptions above.
+    A record gives each of its fields, apart from the exceptions above.
     """
     if issubclass(cls, _TEXT_LEAVES):
         return str
     if issubclass(cls, IntMatrix):
         return IntMatrix.to_rows
+    if issubclass(cls, Record):
+        by_field = {name: (name, attrgetter(name)) for name in cls._fields}
+        by_field |= {name: rule for (c, name), rule in _FIELD_EXCEPTIONS.items() if c is cls}
+        rules = [rule for rule in by_field.values() if rule is not None]
+        return lambda obj: {key: to_jsonable(read(obj)) for key, read in rules}
     if issubclass(cls, (list, tuple)):
         return lambda obj: [to_jsonable(x) for x in obj]
     if issubclass(cls, dict):
         return lambda obj: {k: to_jsonable(v) for k, v in obj.items()}
-    if not is_dataclass(cls):
-        raise TypeError(f"cannot serialize {cls}")
-    by_field = {f.name: (f.name, attrgetter(f.name)) for f in fields(cls) if f.repr}
-    by_field |= {name: rule for (c, name), rule in _FIELD_EXCEPTIONS.items() if c is cls}
-    rules = [rule for rule in by_field.values() if rule is not None]
-    return lambda obj: {key: to_jsonable(read(obj)) for key, read in rules}
+    raise TypeError(f"cannot serialize {cls}")
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:

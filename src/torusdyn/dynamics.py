@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
@@ -39,6 +38,7 @@ from .intlinalg import (
 from .kummer import RADICAL_COST_CAP, TORSION_LCM_CAP
 from .kummer import KummerNumber, Point, PointLayers, char_eval, from_layers, layers_of, one_point
 from .polyalg import IntPoly, cyclotomic_part, divisors, quasi_unipotence, spectral_radius
+from .record import Record
 from .torus import (
     AffineMonomialMap,
     Coset,
@@ -57,8 +57,7 @@ if TYPE_CHECKING:  # the oracle loads when the density test first runs
     from .oracle import ContainmentResult
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
+class ClassifyConfig(Record):
     iterate_cap: int = 360
     degree_bound: int = 3
     torsion_cap: int = 50
@@ -92,8 +91,7 @@ def spectral_data(a: IntMatrix) -> Spectrum:
 # -- dynamical degree ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DynamicalDegree:
+class DynamicalDegree(Record):
     """Exact degree-one certificate (l, m) with (A^l - I)^m = 0, or a >1 interval."""
 
     exact_one: bool
@@ -137,8 +135,7 @@ def dynamical_degree(
 # -- invariant fibrations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FibrationWitness:
+class FibrationWitness(Record):
     """Nonzero character B and iterate l with chi_B o phi^l = chi_B.
 
     ``lattice`` collects every such character found at this iterate; the
@@ -213,8 +210,7 @@ def find_invariant_fibration(
 # -- wildness ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WildnessCertificate:
+class WildnessCertificate(Record):
     """Density analysis of the translation class modulo the unipotent image.
 
     ``projection`` maps onto the quotient by the image of A^l - I; the cyclic
@@ -272,8 +268,7 @@ def _preimage(m: IntMatrix, x: Point) -> Point:
     return from_layers(den * scale, primes, [[(c * scale).numerator for c in sol] for sol in sols])
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Splitting of a degree->1 iterate into unipotent and hyperbolic factors.
 
     ``base_map`` is phi^normalize_iterate, whose minimal polynomial is
@@ -439,8 +434,7 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
 # -- invariant families ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetFamily:
+class CosetFamily(Record):
     """A cycle of cosets whose union is invariant under the original map.
 
     The cycle arises from one orbit of torsion points of exact order
@@ -454,8 +448,8 @@ class CosetFamily:
     torsion_order: int
     orbit_exponents: tuple[tuple[int, ...], ...]
     # left out of the repr and the JSON, which show the decoded cycle instead
-    torus: Subtorus = field(repr=False)
-    layers: tuple[int, tuple[int, ...], list[PointLayers]] = field(repr=False)
+    torus: Subtorus
+    layers: tuple[int, tuple[int, ...], list[PointLayers]]
 
     @cached_property
     def cycle(self) -> tuple[Coset, ...]:
@@ -683,8 +677,7 @@ VERDICT_WILD = "DEGREE_ONE_WILD"
 VERDICT_DENSE = "DEGREE_GT_ONE_DENSE_INVARIANTS"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     verdict: str
     degree: DynamicalDegree
     fibration: FibrationWitness | None
@@ -795,12 +788,4 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
         verdict = VERDICT_DENSE
         family, density = _family_with_density(phi, config, spectrum)
 
-    return ClassificationReport(
-        verdict=verdict,
-        degree=degree,
-        fibration=fibration,
-        wildness=wildness,
-        family=family,
-        density=density,
-        flags=tuple(flags),
-    )
+    return ClassificationReport(verdict, degree, fibration, wildness, family, density, tuple(flags))

@@ -8,12 +8,12 @@ that equal lattices are equal values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .polyalg import IntPoly
+from .record import Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -31,8 +31,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     rows: int
     cols: int
     entries: tuple[int, ...]  # row-major
@@ -311,8 +310,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # -- lattices ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Sublattice of Z^n given by its canonical HNF row basis (no zero rows)."""
 
     ambient_dim: int

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
+from .record import Record
 
 Point = tuple["KummerNumber", ...]
 
@@ -100,8 +100,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class KummerNumber:
+class KummerNumber(Record):
     """A root of unity times a product of rational prime powers.
 
     ``torsion`` is the reduced fraction t in [0,1) encoding exp(2*pi*i*t);

@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OracleError, PreconditionError
 from .kummer import RADICAL_COST_CAP, TORSION_LCM_CAP  # the density test's caps, measured beside layer_orders
 from .kummer import KummerNumber, Point, PointLayers, factorize, is_prime, layer_orders
+from .record import Record
 from .torus import AffineMonomialMap
 
 
@@ -85,8 +85,7 @@ def _discrete_logs(q: int, g: int, hs: list[int], factors: Mapping[int, int] | N
     return logs
 
 
-@dataclass(frozen=True)
-class ModularEmbedding:
+class ModularEmbedding(Record):
     """Specialization of the subgroup generated by given coordinates into F_q^*.
 
     Torsion goes to elements of exact matching order (q = 1 mod the lcm M of
@@ -109,10 +108,9 @@ class ModularEmbedding:
     generator: int
     torsion_lcm: int
     prime_logs: tuple[tuple[int, int], ...]
-    _logs: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_logs", dict(self.prime_logs))
+        object.__setattr__(self, "_logs", dict(self.prime_logs))  # not a field: outside ==, hash and repr
 
     def embed(self, x: KummerNumber) -> int:
         q = self.prime
@@ -272,8 +270,7 @@ def build_embedding(
 # -- hypersurface containment refutation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(Record):
     """Outcome of the low-degree hypersurface test.
 
     NOT_CONTAINED certifies (through a modular specialization) that no

@@ -16,12 +16,12 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OracleError
 from .kummer import factorize
+from .record import Record
 
 
 def _trim(cs: list) -> tuple:
@@ -53,8 +53,7 @@ def _raw_divmod_monic(num, den):
     return _trim(q), _trim(num)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Monic polynomial over the integers, coefficients lowest degree first."""
 
     coeffs: tuple[int, ...]

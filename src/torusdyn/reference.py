@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import OracleError, PreconditionError
 from .intlinalg import IntMatrix, Lattice, charpoly, left_kernel_saturated, mat_vec, solve_rational, vec_mat
 from .kummer import KummerNumber, char_eval, layers_of
 from .polyalg import IntPoly, cyclotomic_part, divisors
+from .record import Record
 from .torus import AffineMonomialMap
 
 _STATE_SPACE_CAP = 200_000
@@ -25,8 +25,7 @@ _STATE_SPACE_CAP = 200_000
 # -- finite dynamical models ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteModelRun:
+class FiniteModelRun(Record):
     """Full orbit decomposition of u -> A*u + g on (Z/d)^n.
 
     The map is a bijection because gcd(d, det A) = 1, so the state space

@@ -19,7 +19,6 @@ coordinatewise by a fixed translation point gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -32,6 +31,7 @@ from .intlinalg import (
     right_kernel_matrix,
 )
 from .kummer import Point, PointLayers, char_eval, from_layers, layers_of
+from .record import Record
 
 
 def monomial_image(m: IntMatrix, x: Point) -> Point:
@@ -41,8 +41,7 @@ def monomial_image(m: IntMatrix, x: Point) -> Point:
     return tuple(char_eval(x, m.row(i)) for i in range(m.rows))
 
 
-@dataclass(frozen=True)
-class AffineMonomialMap:
+class AffineMonomialMap(Record):
     """x -> gamma * x^matrix on the torus of rank len(gamma)."""
 
     matrix: IntMatrix
@@ -147,8 +146,7 @@ def _iterate_layers(a: IntMatrix, den: int, g: PointLayers, k: int) -> tuple[Int
         square = compose(square, square)
 
 
-@dataclass(frozen=True)
-class Subtorus:
+class Subtorus(Record):
     """Connected algebraic subgroup, encoded by its saturated annihilator lattice.
 
     The annihilator holds the characters vanishing on the subgroup; because it
@@ -245,8 +243,7 @@ def restrict_endomorphism(a: IntMatrix, s: Subtorus) -> IntMatrix | None:
     return b if s.cochar_basis * b == av else None
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(Record):
     """base * torus, a translate of a subtorus."""
 
     base: Point

@@ -459,27 +459,28 @@ def test_huge_entries_exit_with_a_message(tmp_path, matrix, argv, rc, message):
     assert "Traceback" not in proc.stderr
 
 
-def test_import_leaves_numpy_unloaded():
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_import_leaves_module_unloaded(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, torusdyn.cli; print('numpy' in sys.modules)"
+    code = f"import sys, torusdyn.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
-def _modules_loaded_by(argv: list[str]) -> tuple[int, bool, bool]:
+def _modules_loaded_by(argv: list[str]) -> tuple[int, bool, bool, bool]:
     """The exit code of one command in a fresh interpreter, and whether it
-    loaded torusdyn.oracle and torusdyn.reference."""
+    loaded torusdyn.oracle, torusdyn.reference and dataclasses."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import contextlib, io, sys, torusdyn.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = torusdyn.cli.main(sys.argv[1:])\n"
-        "print(rc, 'torusdyn.oracle' in sys.modules, 'torusdyn.reference' in sys.modules)"
+        "print(rc, *(name in sys.modules for name in ('torusdyn.oracle', 'torusdyn.reference', 'dataclasses')))"
     )
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rc, oracle, reference = proc.stdout.split()
-    return int(rc), oracle == "True", reference == "True"
+    rc, *loaded = proc.stdout.split()
+    return int(rc), *(flag == "True" for flag in loaded)
 
 
 @pytest.mark.parametrize(
@@ -496,7 +497,7 @@ def _modules_loaded_by(argv: list[str]) -> tuple[int, bool, bool]:
     ids=lambda argv: argv[0],
 )
 def test_commands_off_the_density_path_load_neither_oracle_nor_reference(argv):
-    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, False, False)
+    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, False, False, False)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +506,7 @@ def test_commands_off_the_density_path_load_neither_oracle_nor_reference(argv):
     ids=lambda argv: argv[0],
 )
 def test_density_commands_load_the_oracle_but_not_the_reference(argv):
-    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, True, False)
+    assert _modules_loaded_by([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == (0, True, False, False)
 
 
 def test_every_exported_name_resolves():
