@@ -27,8 +27,6 @@ from .intlinalg import (
     Lattice,
     charpoly,
     evaluate_poly,
-    lattice_intersection,
-    lattice_sum,
     left_kernel_saturated,
     minpoly,
     right_kernel_matrix,
@@ -50,7 +48,6 @@ from .torus import (
     monomial_image,
     quotient_map,
     restrict_endomorphism,
-    subtorus_image_under,
 )
 
 if TYPE_CHECKING:  # the oracle loads when the density test first runs
@@ -243,9 +240,7 @@ def wildness_certificate(phi: AffineMonomialMap, certificate: tuple[int, int] | 
         raise PreconditionError("wildness analysis requires an automorphism (|det A| = 1)")
     ell, m = qu
     phil = phi.iterate(ell)
-    nilp = phil.matrix - IntMatrix.identity(phi.dim)
-    assert (nilp**m).is_zero()
-    proj, r = quotient_map(image_subtorus(nilp))
+    proj, r = quotient_map(image_subtorus(phil.matrix - IntMatrix.identity(phi.dim)))
     gamma_bar = monomial_image(proj, phil.translation)
     den, primes, ((_, *exps),) = layers_of([gamma_bar])
     emat = tuple(tuple(Fraction(e, den) for e in layer) for layer in exps)
@@ -318,12 +313,9 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
 
     x2 = image_subtorus(evaluate_poly(IntPoly.from_coeffs([-1, 1]) ** r, a))
     x1 = image_subtorus(evaluate_poly(q, a))
-    assert lattice_intersection(x1.annihilator, x2.annihilator).rank == 0
-    assert lattice_sum(x1.annihilator, x2.annihilator).rank == n
 
     v1, v2 = x1.cochar_basis, x2.cochar_basis
     k1, k2 = v1.cols, v2.cols
-    assert k1 + k2 == n
     joint = IntMatrix.from_rows([r1 + r2 for r1, r2 in zip(v1.to_rows(), v2.to_rows())], n)
 
     # split gamma = gamma1 * gamma2 through the coordinates along x1 and x2
@@ -332,14 +324,10 @@ def decompose(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> Decom
     s1, s2 = w[:k1], w[k1:]
     gamma1 = x1.embed(s1)
     gamma2 = x2.embed(s2)
-    assert tuple(u * v for u, v in zip(gamma1, gamma2)) == gamma
-    assert x1.contains(gamma1) and x2.contains(gamma2)
 
     a1 = restrict_endomorphism(a, x1)
     a2 = restrict_endomorphism(a, x2)
     assert a1 is not None and a2 is not None
-    assert minpoly(a1) == IntPoly.from_coeffs([-1, 1]) ** r
-    assert minpoly(a2) == q
 
     phi1 = AffineMonomialMap(a1, s1)
     phi2 = AffineMonomialMap(a2, s2)
@@ -401,14 +389,15 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     points returned are the first ``budget`` of (Z/d)^k.  Each cycle is
     walked once: its length is recorded for those of its points that are
     among them, and a later point of the same cycle reads it back.  Each
-    returned pair is re-verified exactly, by one monomial image under
-    a2^period mod d (which acts on points of order dividing d as a2^period
-    does), a power taken once per distinct period.
+    period is exact from the walk: the walk stops at the first k with
+    a2^k u = u mod d, so k is u's period.
     """
     if a2.rows != a2.cols:
         raise PreconditionError("endomorphism matrix must be square")
     if d < 1:
         raise PreconditionError("torsion order must be positive")
+    if budget < 1:
+        raise PreconditionError("budget must be positive")
     if (shared := math.gcd(d, a2.det())) != 1:
         raise PreconditionError(f"torsion order {d} shares the factor {shared} with det")
     rows = a2.to_rows()
@@ -416,18 +405,13 @@ def periodic_torsion_points(a2: IntMatrix, d: int, budget: int = 200) -> list[tu
     vectors = list(itertools.islice(_residue_vectors(d, a2.rows), budget))
     wanted = set(vectors)
     periods: dict[tuple[int, ...], int] = {}  # the cycle length of each wanted point on a walked cycle
-    powers: dict[int, IntMatrix] = {}  # a2^period mod d, by period
     for u in vectors:
         period = periods.get(u)
         if period is None:
             orbit = _cycle(rows, d, u)
             period = len(orbit)
             periods.update(dict.fromkeys(wanted.intersection(orbit), period))
-        point = tuple(KummerNumber.build(Fraction(x, d), {}) for x in u)
-        if period not in powers:
-            powers[period] = pow(a2, period, d)
-        assert monomial_image(powers[period], point) == point, "period verification failed"
-        out.append((point, period))
+        out.append((tuple(KummerNumber.build(Fraction(x, d), {}) for x in u), period))
     return out
 
 
@@ -493,13 +477,15 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
     of the hyperbolic factor to a cycle of translates of the unipotent
     subtorus x1, and yields it with True; when an earlier orbit of the same
     source gave the same cycle, it yields that earlier family with False.
-    phi carries x1 onto itself (checked once here), so the image of a coset
-    is x1 translated by the image of its base, and the cycle is the orbit of
-    the base on the exponent layers; the family keeps the bases as those
-    layers and decodes none of them.  It closes when the base's projection
-    to T/x1 (its character values under x1's annihilator basis) returns,
-    which certifies invariance of the union; the same projections, as
-    rational values, identify the cycle for deduplication.
+    phi carries x1 onto itself, since x1 is the image of q(A^l0) (q the
+    hyperbolic factor, l0 the normalizing iterate), which commutes with A.
+    So the image of a coset is x1 translated by the image of its base, and
+    the cycle is the orbit of the base on the exponent layers; the family
+    keeps the bases as those layers and decodes none of them.  It closes
+    when the base's projection to T/x1 (its character values under x1's
+    annihilator basis) returns, which certifies invariance of the union; the
+    same projections, as rational values, identify the cycle for
+    deduplication.
 
     Every base is x2.embed(u / d) * beta2_embedded^-1 for a torsion orbit
     point u, so every orbit shares the prime layers of its k-th step.  That
@@ -510,8 +496,6 @@ def _cycle_source(phi: AffineMonomialMap, spectrum: Spectrum | None = None) -> t
     first step, and cycles close and dedupe on their torsion projections.
     """
     dec = decompose(phi, spectrum)
-    if subtorus_image_under(phi.matrix, dec.x1) != dec.x1:
-        raise AssertionError("the unipotent subtorus is not invariant under the map")
     den_b, primes, ((beta_t, *beta_e), (gamma_t, *gamma_e)) = layers_of(
         (tuple(c.inverse() for c in dec.beta2_embedded), phi.translation)
     )

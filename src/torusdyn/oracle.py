@@ -205,22 +205,16 @@ def _try_embedding(torsion_lcm: int, needed: Mapping[int, int], q: int) -> Modul
     """The embedding at a prime q that :func:`build_embedding`'s scan admitted, or None
     when no square-root branches are consistent mod q.  The scan made q = 1 mod the
     torsion lcm and each base prime p a unit and an N_p-th power residue mod q, so
-    N_p divides p's discrete log."""
+    N_p divides p's discrete log.  The embedding sends each base prime p to p mod q
+    (each log is checked in :func:`_discrete_logs`, and a branch flip adds q - 1) and
+    zeta_M to an element of exact order M (g generates F_q^*)."""
     g = _generator_mod(q, factors := factorize(q - 1))
     ps = sorted(needed)
     logs = dict(zip(ps, _discrete_logs(q, g, [p % q for p in ps], factors)))
     logs = _consistent_branches(needed, logs, torsion_lcm, q, g)
     if logs is None:
         return None
-    emb = ModularEmbedding(q, g, torsion_lcm, tuple(sorted(logs.items())))
-    # homomorphism spot-checks on the generators, and the exact order of the torsion's image
-    for p in logs:
-        assert emb.embed(KummerNumber.from_rational(p)) == p % q
-    if torsion_lcm > 1:
-        z = emb.embed(KummerNumber.root_of_unity(torsion_lcm))
-        assert pow(z, torsion_lcm, q) == 1
-        assert all(pow(z, torsion_lcm // f, q) != 1 for f in factors if torsion_lcm % f == 0)
-    return emb
+    return ModularEmbedding(q, g, torsion_lcm, tuple(sorted(logs.items())))
 
 
 def build_embedding(

@@ -102,6 +102,8 @@ class AffineMonomialMap(Record):
         """The first n points x, phi(x), ..., phi^(n-1)(x)."""
         if n < 1:
             raise ValueError("orbit length must be >= 1")
+        if len(x) != self.dim:
+            raise ValueError("point dimension mismatch")
         out = [tuple(x)]
         for _ in range(n - 1):
             out.append(self.apply(out[-1]))

@@ -13,7 +13,7 @@ from torusdyn.dynamics import invariant_family, periodic_torsion_points, sample_
 from torusdyn.errors import PreconditionError
 from torusdyn.intlinalg import IntMatrix
 from torusdyn import kummer, oracle
-from torusdyn.kummer import char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
+from torusdyn.kummer import KummerNumber, char_eval, from_layers, is_prime, layer_orders, layers_of, one_point, parse_point
 from torusdyn.oracle import (
     ModularEmbedding,
     _discrete_logs,
@@ -218,6 +218,25 @@ def test_embedding_is_homomorphism():
         a, b = rng.choice(vals), rng.choice(vals)
         assert emb.embed(a * b) == emb.embed(a) * emb.embed(b) % q
         assert emb.embed(a.inverse()) == pow(emb.embed(a), -1, q)
+
+
+def test_embedding_sends_base_primes_home_and_roots_of_unity_to_their_order():
+    # the fixtures' family samples, with the first point divided out as
+    # hypersurface_containment does, and test_embedding_is_homomorphism's values
+    rng = random.Random(601)
+    cases = [(layer_orders(*layers_of([[rand_kummer(rng) for _ in range(8)]])), 0)]
+    for name, budget, seed in (("example_dense", 10, 11), ("example_dense3", 8, 13)):
+        phi = load_map_spec(str(FIXDIR / f"{name}.json")).to_map()
+        den, primes, layers = sample_family_points(invariant_family(phi, budget), seed)
+        cases.append((layer_orders(den, primes, layers, layers[0]), seed))
+    for (torsion_lcm, needed), seed in cases:
+        emb, _ = build_embedding(torsion_lcm, needed, random.Random(seed))
+        q, m = emb.prime, torsion_lcm
+        for p in needed:
+            assert emb.embed(KummerNumber.from_rational(p)) == p % q
+        z = emb.embed(KummerNumber.root_of_unity(m))
+        assert pow(z, m, q) == 1
+        assert all(pow(z, m // f, q) != 1 for f in kummer.factorize(m))
 
 
 def test_containment_orbit_example():

@@ -74,6 +74,9 @@ def test_orbit_examples():
     for n in (0, -1):
         with pytest.raises(ValueError, match="orbit length must be >= 1"):
             phi.orbit(x, n)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            phi.orbit(parse_point(["2", "5", "7"]), n)
 
 
 def test_singular_matrix_rejected():
