@@ -173,7 +173,7 @@ def _fixed_character_lattice(
     eqs = (al - IntMatrix.identity(n)).to_rows()
     rows = [[*eq, *(e[i] for e in exps), tors[i]] for i, eq in enumerate(eqs)]
     rows.append([0] * (n + len(exps)) + [den])
-    kernel = left_kernel_saturated(IntMatrix.from_rows(rows))
+    kernel = left_kernel_saturated(IntMatrix(n + 1, n + len(exps) + 1, tuple(x for row in rows for x in row)))
     return Lattice(n, tuple(row[:n] for row in kernel.basis))
 
 
@@ -245,7 +245,7 @@ def wildness_certificate(phi: AffineMonomialMap, certificate: tuple[int, int] | 
     den, primes, ((_, *exps),) = layers_of([gamma_bar])
     emat = tuple(tuple(Fraction(e, den) for e in layer) for layer in exps)
     # with no prime layer every character refutes: the kernel is all of Z^r
-    kernel = right_kernel_matrix(IntMatrix.from_rows(exps, r))
+    kernel = right_kernel_matrix(IntMatrix(len(exps), r, tuple(x for layer in exps for x in layer)))
     dense = kernel.cols == 0
     refutation = None if dense else kernel.col(0)
     return WildnessCertificate(ell, m, proj, gamma_bar, primes, emat, dense, refutation)

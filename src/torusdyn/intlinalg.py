@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .polyalg import IntPoly
@@ -49,7 +49,7 @@ class IntMatrix(Record):
                 raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
-        return IntMatrix(len(rows), cols, tuple(int(x) for r in rows for x in r))
+        return IntMatrix(len(rows), cols, tuple(index(x) for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -77,7 +77,7 @@ class IntMatrix(Record):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix(self.cols, self.rows, tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         self._same_shape(other)
@@ -189,15 +189,12 @@ def vec_mat(v: Sequence, m: IntMatrix) -> tuple:
 # -- normal forms ------------------------------------------------------------
 
 
-def _hermite_rows(h: list[list[int]]) -> list[list[int]]:
-    """The rows reduced in place to canonical row Hermite form; returns h.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows sink to the bottom.
-    """
+def _echelon_rows(h: list[list[int]], k: int) -> list[int]:
+    """h in row echelon form over its first k columns, in place, by xgcd row operations; the pivot columns."""
     nrows = len(h)
-    r = 0
-    for j in range(len(h[0]) if h else 0):
+    pivots: list[int] = []
+    for j in range(k):
+        r = len(pivots)
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if h[i][j] != 0), None)
@@ -205,36 +202,46 @@ def _hermite_rows(h: list[list[int]]) -> list[list[int]]:
             continue
         h[r], h[piv] = h[piv], h[r]
         for i in range(r + 1, nrows):
-            if h[i][j] == 0:
-                continue
             a, b = h[r][j], h[i][j]
+            if b % a == 0:  # b is 0 or a multiple of a: one row subtraction clears it
+                if q := b // a:
+                    h[i] = [t - q * s for s, t in zip(h[r], h[i])]
+                continue
             g, x, y = xgcd(a, b)
             p, q = -(b // g), a // g
             h[r], h[i] = (
                 [x * s + y * t for s, t in zip(h[r], h[i])],
                 [p * s + q * t for s, t in zip(h[r], h[i])],
             )
+        pivots.append(j)
+    return pivots
+
+
+def _hermite_rows(h: list[list[int]]) -> list[list[int]]:
+    """The rows reduced in place to canonical row Hermite form; returns h.
+
+    Pivots are positive, entries above each pivot are reduced into
+    [0, pivot), zero rows sink to the bottom.
+    """
+    for r, j in enumerate(_echelon_rows(h, len(h[0]) if h else 0)):
         if h[r][j] < 0:
             h[r] = [-s for s in h[r]]
         for i in range(r):
             q = h[i][j] // h[r][j]
             if q:
                 h[i] = [s - q * t for s, t in zip(h[i], h[r])]
-        r += 1
     return h
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """(H, U) with U unimodular, U*m = H, H in canonical row Hermite form.
 
-    One reduction of [m | I]: H is the left block and U the right one.  The
-    rows of U whose row of H is zero are then in canonical Hermite form too,
-    so they are the HNF basis of the integer left kernel of m.  Reducing the
-    right block only subtracts those kernel rows, whose left block is zero,
+    One reduction of [m | I]: H is the left block and U the right one.
+    Reducing the right block only subtracts rows whose left block is zero,
     so H is the Hermite form of m alone.
     """
     k = m.cols
-    aug = _hermite_rows([list(m.row(i)) + [int(i == j) for j in range(m.rows)] for i in range(m.rows)])
+    aug = _hermite_rows([[*m.row(i), *(0,) * i, 1, *(0,) * (m.rows - 1 - i)] for i in range(m.rows)])
     return (
         IntMatrix(m.rows, k, tuple(x for row in aug for x in row[:k])),
         IntMatrix(m.rows, m.rows, tuple(x for row in aug for x in row[k:])),
@@ -355,18 +362,26 @@ class Lattice(Record):
 def left_kernel_saturated(m: IntMatrix) -> Lattice:
     """{b in Z^rows : b*m = 0}, which is automatically saturated.
 
-    The rows of U whose row of H = U*m is zero lie in the kernel, and since U
-    is unimodular they span all of it over Z; :func:`hermite_normal_form`
-    leaves them in canonical form, so one reduction gives the lattice.
+    One echelon pass over m's own columns of [m | I] gives U*m = H with U,
+    the right block, unimodular, so the rows of U past H's rank span the
+    kernel over Z.  Only those rows are put into Hermite form, which is
+    unique; an empty kernel costs the echelon pass alone.
+
+    >>> left_kernel_saturated(IntMatrix.from_rows([[2, 1], [1, 1]])).basis
+    ()
+    >>> left_kernel_saturated(IntMatrix.from_rows([[0, 1], [0, 0]])).basis
+    ((0, 1),)
     """
-    h, u = hermite_normal_form(m)
-    return Lattice(m.rows, tuple(u.row(i) for i in range(m.rows) if not any(h.row(i))))
+    aug = [[*m.row(i), *(0,) * i, 1, *(0,) * (m.rows - 1 - i)] for i in range(m.rows)]
+    r = len(_echelon_rows(aug, m.cols))
+    kernel = _hermite_rows([row[m.cols :] for row in aug[r:]]) if r < m.rows else ()
+    return Lattice(m.rows, tuple(map(tuple, kernel)))
 
 
 def right_kernel_matrix(m: IntMatrix) -> IntMatrix:
     """Columns span {u in Z^cols : m*u = 0}; the column lattice is saturated."""
-    lat = left_kernel_saturated(m.transpose())
-    return lat.basis_matrix().transpose()
+    basis = left_kernel_saturated(m.transpose()).basis
+    return IntMatrix(m.cols, len(basis), tuple(x for col in zip(*basis) for x in col))
 
 
 def is_saturated(lat: Lattice) -> bool:

@@ -695,9 +695,11 @@ def test_fixed_character_lattice_matches_the_exact_iterate(kind):
 @pytest.mark.parametrize("fixture, verdict", [("example_wild.json", VERDICT_WILD), ("example_fibration.json", VERDICT_FIBRATION)])
 def test_degree_one_classify_stays_on_integers(fixture, verdict, monkeypatch):
     # no KummerNumber product while searching for a fibration, no saturation()
-    # anywhere, and one Hermite reduction inside each saturated kernel
+    # anywhere, and inside each saturated kernel one echelon pass over [m | I]
+    # in m's columns, then one Hermite reduction of the kernel rows alone, none
+    # when the kernel is empty, and no full Hermite form
     phi = load_map_spec(str(FIXDIR / fixture)).to_map()
-    muls_in_search, saturations, hnfs_per_kernel, searching, in_kernel = [], [], [], [], []
+    muls_in_search, saturations, kernels, searching, in_kernel = [], [], [], [], []
 
     real_mul = KummerNumber.__mul__
 
@@ -718,17 +720,29 @@ def test_degree_one_classify_stays_on_integers(fixture, verdict, monkeypatch):
     real_kernel = intlinalg.left_kernel_saturated
 
     def kernel(m):
-        in_kernel.append(0)
+        in_kernel.append([])
         try:
-            return real_kernel(m)
+            lat = real_kernel(m)
         finally:
-            hnfs_per_kernel.append(in_kernel.pop())
+            calls = in_kernel.pop()
+        kernels.append((m, lat, calls))
+        return lat
+
+    def counted(name):
+        real = getattr(intlinalg, name)
+
+        def wrapper(h, *args):
+            if in_kernel:
+                in_kernel[-1].append((name, len(h), len(h[0]) if h else 0, *args))
+            return real(h, *args)
+
+        return wrapper
 
     real_hnf = intlinalg.hermite_normal_form
 
     def hnf(m):
         if in_kernel:
-            in_kernel[-1] += 1
+            in_kernel[-1].append(("hermite_normal_form",))
         return real_hnf(m)
 
     real_saturation = intlinalg.saturation
@@ -740,6 +754,8 @@ def test_degree_one_classify_stays_on_integers(fixture, verdict, monkeypatch):
     monkeypatch.setattr(KummerNumber, "__mul__", mul)
     monkeypatch.setattr(dynamics, "find_invariant_fibration", search)
     monkeypatch.setattr(intlinalg, "hermite_normal_form", hnf)
+    monkeypatch.setattr(intlinalg, "_echelon_rows", counted("_echelon_rows"))
+    monkeypatch.setattr(intlinalg, "_hermite_rows", counted("_hermite_rows"))
     for mod in (intlinalg, torus, dynamics):
         for name, wrapper in (("left_kernel_saturated", kernel), ("saturation", saturation)):
             if hasattr(mod, name):
@@ -748,4 +764,12 @@ def test_degree_one_classify_stays_on_integers(fixture, verdict, monkeypatch):
     assert report.verdict == verdict
     assert muls_in_search == []
     assert saturations == []
-    assert hnfs_per_kernel and all(c == 1 for c in hnfs_per_kernel)
+    # the wild map's fibration search ends with no fixed character, so an empty kernel is seen there
+    assert kernels and any(lat.rank == 0 for _, lat, _ in kernels) == (verdict == VERDICT_WILD)
+    for m, lat, calls in kernels:
+        echelon = [("_echelon_rows", m.rows, m.cols + m.rows, m.cols)]
+        if lat.rank == 0:
+            assert calls == echelon
+        else:
+            # the Hermite reduction of the kernel rows echelons them over every column
+            assert calls == echelon + [("_hermite_rows", lat.rank, m.rows)] + [("_echelon_rows", lat.rank, m.rows, m.rows)]

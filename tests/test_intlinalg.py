@@ -25,7 +25,9 @@ from torusdyn.intlinalg import (
     solve_rational,
     vec_mat,
 )
+from torusdyn.kummer import parse_point
 from torusdyn.polyalg import IntPoly
+from torusdyn.torus import AffineMonomialMap
 
 from conftest import rand_matrix
 
@@ -155,8 +157,8 @@ def test_left_kernel_matches_the_smith_construction(m):
 
 
 def _two_reduction_kernel(m: IntMatrix) -> Lattice:
-    """The left kernel as it was built before hermite_normal_form reduced [m | I]:
-    the rows of U whose row of H is zero, put into Hermite form by a second reduction."""
+    """The left kernel read off the full Hermite form of [m | I], reduced over every
+    column: the rows of U whose row of H is zero, put into Hermite form by a second reduction."""
     h, u = hermite_normal_form(m)
     return Lattice.from_rows(m.rows, [u.row(i) for i in range(m.rows) if not any(h.row(i))])
 
@@ -167,9 +169,10 @@ def _two_reduction_kernel(m: IntMatrix) -> Lattice:
 @example(IntMatrix.zeros(3, 0))
 @example(IntMatrix.zeros(0, 0))
 @example(IntMatrix.from_rows([[2, 4], [1, 2], [3, 6]]))
-def test_left_kernel_needs_no_second_reduction(m):
-    # the kernel rows of one reduction of [m | I] are already the canonical basis,
-    # and the left block is the Hermite form of m alone
+def test_left_kernel_matches_the_full_hermite_reduction(m):
+    # echeloning [m | I] over m's columns and reducing only the kernel rows gives
+    # the kernel that the full Hermite form of [m | I] gives, and the full form's
+    # left block is the Hermite form of m alone
     assert left_kernel_saturated(m) == _two_reduction_kernel(m)
     hnf = Lattice.from_rows(m.cols, m.to_rows()).basis
     h, u = hermite_normal_form(m)
@@ -399,8 +402,23 @@ def test_matrix_basics():
         for d in (1, 2, 7, 10):
             assert pow(m, k, d) == (m**k).mod(d)
     assert m.transpose().to_rows() == [[1, 3], [2, 4]]
+    assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        t = IntMatrix.zeros(rows, cols).transpose()
+        assert (t.rows, t.cols, t.entries) == (cols, rows, ())
     assert m.det() == -2
     with pytest.raises(ValueError):
         m * IntMatrix.identity(3)
     big = IntMatrix.from_rows([[10**20, 1], [1, 10**20]])
     assert big.det() == 10**40 - 1
+
+
+def test_from_rows_refuses_entries_that_are_not_integers():
+    # a float, Fraction or str entry raises instead of being truncated or parsed
+    for bad in (2.7, 2.0, Fraction(5, 2), Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[bad, 1], [1, 1]])
+    # an int subclass is stored as a plain int
+    assert [(x, type(x)) for x in IntMatrix.from_rows([[True, 1], [1, 1]]).entries] == [(1, int)] * 4
+    with pytest.raises(TypeError):
+        AffineMonomialMap.build([[2.7, 1], [1, 1]], parse_point(["2", "3"]))
