@@ -498,29 +498,10 @@ def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:
 # -- linear solving ------------------------------------------------------------
 
 
-def _reduce_rational(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan on rows in place, pivoting in the first ncols columns; the pivot columns."""
-    piv_cols: list[int] = []
-    for j in range(ncols):
-        r = len(piv_cols)
-        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][j]
-        rows[r] = [a / f for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                g = rows[i][j]
-                rows[i] = [a - g * c for a, c in zip(rows[i], rows[r])]
-        piv_cols.append(j)
-    return piv_cols
-
-
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of a list of rows (ints or Fractions)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    return len(_reduce_rational(work, len(work[0]) if work else 0))
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a list of integer rows: the pivots of one echelon pass, whose row operations keep it."""
+    work = [list(row) for row in rows]
+    return len(_echelon_rows(work, len(work[0]) if work else 0))
 
 
 def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction, ...] | None | list:
@@ -528,17 +509,30 @@ def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction
 
     Free variables are set to zero.  b may contain ints or Fractions.  Given more right-hand
     sides, one elimination solves them all and the result is the list of each one's solution.
+    The right-hand sides, scaled to integers, are echeloned with m over m's columns; one is
+    inconsistent when nonzero past the rank.  Back-substitution finds D*x in integers, D the
+    product of the pivots: D*x = adj(T)*c for the triangular pivot block T, so each division
+    by a pivot is exact.
+
+    >>> solve_rational(IntMatrix.from_rows([[2, 4]]), [6])
+    (Fraction(3, 1), Fraction(0, 1))
+    >>> solve_rational(IntMatrix.from_rows([[1, 1], [1, 1]]), [1, 2]) is None
+    True
     """
     rhs = (b, *more)
     if any(len(c) != m.rows for c in rhs):
         raise ValueError("dimension mismatch")
-    rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(c[i]) for c in rhs] for i in range(m.rows)]
-    piv_cols = _reduce_rational(rows, m.cols)
-    r = len(piv_cols)
+    n = m.cols
+    scale = math.lcm(*(x.denominator for c in rhs for x in c))
+    aug = [[*m.row(i), *((c[i] * scale).numerator for c in rhs)] for i in range(m.rows)]
+    pivots = _echelon_rows(aug, n)
+    r = len(pivots)
+    d = math.prod(aug[i][j] for i, j in enumerate(pivots))
     sols: list[tuple[Fraction, ...] | None] = []
-    for k in range(m.cols, m.cols + len(rhs)):
-        x = [Fraction(0)] * m.cols
-        for i, j in enumerate(piv_cols):
-            x[j] = rows[i][k]
-        sols.append(None if any(rows[i][k] for i in range(r, len(rows))) else tuple(x))
+    for k in range(n, n + len(rhs)):
+        x = [0] * n  # D*x
+        for i in reversed(range(r)):
+            row = aug[i]
+            x[pivots[i]] = (d * row[k] - sum(row[j] * x[j] for j in pivots[i + 1 :])) // row[pivots[i]]
+        sols.append(None if any(row[k] for row in aug[r:]) else tuple(Fraction(v, d * scale) for v in x))
     return sols if more else sols[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .errors import OracleError
 from .kummer import factorize
@@ -66,7 +67,7 @@ class IntPoly(Record):
 
     @staticmethod
     def from_coeffs(coeffs) -> IntPoly:
-        return IntPoly(tuple(int(c) for c in coeffs))
+        return IntPoly(tuple(map(index, coeffs)))
 
     @staticmethod
     def one() -> IntPoly:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -414,6 +415,41 @@ def test_hostile_repros_end_in_bounded_time(argv, undecided_rc):
     assert "Traceback" not in proc.stderr
     if undecided_rc is not None:
         assert proc.returncode == undecided_rc and "UNDECIDED" in proc.stdout, proc.stderr
+
+
+def _conjugated_unipotent_plus_hyperbolic(seed: int) -> dict:
+    """An n = 16 map: a 2x2 unipotent Jordan block and a nonsingular 14x14 block with
+    entries in [-2, 2], conjugated by 32 elementary unimodular pairs; gamma from {2, 3, 5}."""
+    rng = random.Random(seed)
+    n = 16
+    while True:
+        block = [[rng.randint(-2, 2) for _ in range(n - 2)] for _ in range(n - 2)]
+        if IntMatrix.from_rows(block).det():
+            break
+    a = [[1, 1] + [0] * (n - 2), [0, 1] + [0] * (n - 2)] + [[0, 0] + row for row in block]
+    for _ in range(32):
+        s, t = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        a[s] = [x + c * y for x, y in zip(a[s], a[t])]  # E = I + c*e_st on the left
+        for row in a:
+            row[t] -= c * row[s]  # E^-1 on the right
+    return {"matrix": a, "gamma": [str(rng.choice((2, 3, 5))) for _ in range(n)]}
+
+
+def test_decompose_at_n16_ends_in_bounded_time(tmp_path):
+    # the two rational solves of decompose, on 16 and 14 unknowns, stay small under integer echelon
+    spec = _write_spec(tmp_path, _conjugated_unipotent_plus_hyperbolic(16))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusdyn.cli", "decompose", spec, "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _ten_to(k: int) -> str:

@@ -306,7 +306,7 @@ def _reference_minpoly(a: IntMatrix) -> IntPoly:
         sol = solve_rational(cols, nxt.entries)
         if sol is not None:
             assert all(c.denominator == 1 for c in sol)
-            return IntPoly.from_coeffs([-c for c in sol] + [1])
+            return IntPoly.from_coeffs([-c.numerator for c in sol] + [1])
         powers.append(nxt)
 
 
@@ -391,6 +391,80 @@ def test_solve_rational_with_several_right_hand_sides():
     assert inconsistent > 0
     with pytest.raises(ValueError):
         solve_rational(IntMatrix.identity(2), [1, 2], [1])
+
+
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan over Q on rows in place, pivoting in the first ncols columns; the pivot columns."""
+    piv_cols: list[int] = []
+    for j in range(ncols):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = rows[r][j]
+        rows[r] = [a / f for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                g = rows[i][j]
+                rows[i] = [a - g * c for a, c in zip(rows[i], rows[r])]
+        piv_cols.append(j)
+    return piv_cols
+
+
+def _gauss_jordan_solve(m: IntMatrix, rhs) -> list:
+    """Each right-hand side's solution read off the reduced rows, free variables 0, or None."""
+    rows = [[Fraction(x) for x in m.row(i)] + [Fraction(c[i]) for c in rhs] for i in range(m.rows)]
+    piv_cols = _gauss_jordan(rows, m.cols)
+    sols = []
+    for k in range(m.cols, m.cols + len(rhs)):
+        x = [Fraction(0)] * m.cols
+        for i, j in enumerate(piv_cols):
+            x[j] = rows[i][k]
+        sols.append(None if any(row[k] for row in rows[len(piv_cols) :]) else tuple(x))
+    return sols
+
+
+@st.composite
+def _systems(draw):
+    """A 0..7 by 0..7 matrix, entries up to 10^6 in size, dense or of lower rank, and 1..4
+    right-hand sides of Fractions: m*x for a drawn x (consistent) or drawn outright."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(10**6), 10**6))
+    m = IntMatrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+    if rows > 1 and draw(st.booleans()):
+        # later rows become small combinations of earlier ones: rank below rows
+        k = draw(st.integers(1, rows - 1))
+        coeffs = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        base = m.to_rows()[:k]
+        extra = [[sum(c * x for c, x in zip(draw(coeffs), col)) for col in zip(*base)] for _ in range(rows - k)]
+        m = IntMatrix.from_rows(base + extra, cols)
+    value = st.builds(Fraction, entry, st.integers(1, 10**6))
+    rhs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            rhs.append(list(mat_vec(m, draw(st.lists(value, min_size=cols, max_size=cols)))))
+        else:
+            rhs.append(draw(st.lists(value, min_size=rows, max_size=rows)))
+    return m, rhs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_systems())
+@example((IntMatrix.zeros(0, 3), [[]]))
+@example((IntMatrix.zeros(3, 0), [[0, 0, 0], [1, 0, 0]]))
+@example((IntMatrix.zeros(0, 0), [[], []]))
+@example((IntMatrix.from_rows([[2, 4]]), [[6], [Fraction(1, 3)]]))
+@example((IntMatrix.from_rows([[1, 1], [1, 1]]), [[1, 2], [2, 2]]))
+@example((IntMatrix.from_rows([[10**6, 1], [-1, 10**6], [999_999, 10**6 + 1]]), [[1, 2, 3], [1, 0, 0]]))
+def test_solve_rational_matches_gauss_jordan(system):
+    # the integer echelon solve gives Gauss-Jordan's solution exactly, free variables
+    # set to zero, and None for the same right-hand sides; the ranks agree too
+    m, rhs = system
+    want = _gauss_jordan_solve(m, rhs)
+    assert solve_rational(m, *rhs) == (want if len(rhs) > 1 else want[0])
+    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    assert rational_rank(m.to_rows()) == len(_gauss_jordan(rows, m.cols))
 
 
 def test_matrix_basics():

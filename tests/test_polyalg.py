@@ -27,6 +27,15 @@ def test_intpoly_basics():
     assert p.try_divide(q) is None
 
 
+def test_from_coeffs_refuses_coefficients_that_are_not_integers():
+    # a Fraction, float or str coefficient raises instead of being truncated or parsed
+    for bad in (Fraction(1, 2), Fraction(2), 2.7, 2.0, "3"):
+        with pytest.raises(TypeError):
+            IntPoly.from_coeffs([bad, 1])
+    p = IntPoly.from_coeffs([True, 1])
+    assert p == IntPoly.from_coeffs([1, 1]) and type(p.coeffs[0]) is int
+
+
 def test_cyclotomic_small_values():
     expect = {
         1: [-1, 1],

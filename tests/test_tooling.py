@@ -10,7 +10,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
-from torusdyn import dynamics, kummer, oracle, polyalg
+from torusdyn import dynamics, intlinalg, kummer, oracle, polyalg
 from torusdyn.cli import load_map_spec
 from torusdyn.torus import AffineMonomialMap
 
@@ -87,7 +87,7 @@ def test_classify_reaches_the_degree_one_stages(monkeypatch):
 
 
 def test_docstring_examples_run():
-    for module in (kummer, polyalg):
+    for module in (kummer, polyalg, intlinalg):
         result = doctest.testmod(module)
         assert result.failed == 0 and result.attempted > 0, (module.__name__, result)
 
