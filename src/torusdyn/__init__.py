@@ -21,12 +21,9 @@ from .dynamics import (
 __version__ = "0.1.0"
 
 # Loaded on first access (PEP 562), so a command that never reaches the
-# density test does not load the oracle, and none loads the reference routines.
+# density test does not load the oracle.
 _LAZY = {
-    "finite_model_run": "reference",
     "hypersurface_containment": "oracle",
-    "invariant_coset_search": "reference",
-    "numeric_roots": "reference",
     "orbit_sample": "oracle",
 }
 
@@ -64,9 +61,6 @@ __all__ = [
     "invariant_family",
     "periodic_torsion_points",
     "wildness_certificate",
-    "finite_model_run",
     "hypersurface_containment",
-    "invariant_coset_search",
-    "numeric_roots",
     "orbit_sample",
 ]

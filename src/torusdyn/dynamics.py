@@ -729,10 +729,13 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
     """Full classification with verifiable certificates.
 
     FIBRATION wins when an invariant monomial function exists; degree-one
-    automorphisms without one are certified wild; degree->1 maps carry a
-    dense invariant family (also attached to fibration verdicts when
-    ``config.force_family`` is set).  The minimal polynomial of A and its
-    cyclotomic part are computed once and passed to every stage.
+    maps without one are certified wild; degree->1 maps carry a dense
+    invariant family (also attached to fibration verdicts when
+    ``config.force_family`` is set).  Every degree-one map is an
+    automorphism: degree exactly one makes every eigenvalue of A a root of
+    unity, so |det A|, the product of their absolute values, is 1.  The minimal
+    polynomial of A and its cyclotomic part are computed once and passed to
+    every stage.
     """
     spectrum = spectral_data(phi.matrix)
     degree = dynamical_degree(phi, config.rel_tol, spectrum)
@@ -748,26 +751,20 @@ def classify(phi: AffineMonomialMap, config: ClassifyConfig = ClassifyConfig()) 
             family, density = _family_with_density(phi, config, spectrum)
     elif degree.exact_one:
         verdict = VERDICT_WILD
-        if phi.is_automorphism:
-            wildness = wildness_certificate(phi, degree.certificate)
-            if not wildness.dense:
-                # only reachable when the scan cap hid the witness iterate;
-                # the refutation character scaled by its torsion order is one
-                ell = wildness.iterate
-                value = char_eval(wildness.gamma_bar, wildness.refutation)
-                order = value.torsion_order()
-                assert order is not None
-                b = vec_mat([order * c for c in wildness.refutation], wildness.projection)
-                fibration = FibrationWitness(ell, b, Lattice.from_rows(phi.dim, [b]))
-                assert fibration.verify(phi)
-                verdict = VERDICT_FIBRATION
-                wildness = None
-                flags.append(f"fibration witness found beyond iterate cap {config.iterate_cap}")
-        else:
-            flags.append(
-                "degree one but not an automorphism: wildness certification "
-                "is only available for automorphisms"
-            )
+        wildness = wildness_certificate(phi, degree.certificate)
+        if not wildness.dense:
+            # only reachable when the scan cap hid the witness iterate;
+            # the refutation character scaled by its torsion order is one
+            ell = wildness.iterate
+            value = char_eval(wildness.gamma_bar, wildness.refutation)
+            order = value.torsion_order()
+            assert order is not None
+            b = vec_mat([order * c for c in wildness.refutation], wildness.projection)
+            fibration = FibrationWitness(ell, b, Lattice.from_rows(phi.dim, [b]))
+            assert fibration.verify(phi)
+            verdict = VERDICT_FIBRATION
+            wildness = None
+            flags.append(f"fibration witness found beyond iterate cap {config.iterate_cap}")
     else:
         verdict = VERDICT_DENSE
         family, density = _family_with_density(phi, config, spectrum)

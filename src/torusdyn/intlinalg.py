@@ -172,13 +172,6 @@ class IntMatrix(Record):
         return sign * m[n - 1][n - 1]
 
 
-def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
-    """m times a column vector (entries may be ints or Fractions)."""
-    if m.cols != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(sum(m[i, j] * v[j] for j in range(m.cols)) for i in range(m.rows))
-
-
 def vec_mat(v: Sequence, m: IntMatrix) -> tuple:
     """Row vector times m."""
     if m.rows != len(v):
@@ -345,19 +338,6 @@ class Lattice(Record):
     def basis_matrix(self) -> IntMatrix:
         return IntMatrix.from_rows(self.basis, self.ambient_dim)
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            if v[p] % row[p] != 0:
-                return False
-            q = v[p] // row[p]
-            if q:
-                v = [s - q * t for s, t in zip(v, row)]
-        return all(x == 0 for x in v)
-
 
 def left_kernel_saturated(m: IntMatrix) -> Lattice:
     """{b in Z^rows : b*m = 0}, which is automatically saturated.
@@ -397,21 +377,6 @@ def saturation(lat: Lattice) -> Lattice:
         return lat
     k = right_kernel_matrix(lat.basis_matrix())
     return left_kernel_saturated(k)
-
-
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Lattice.from_rows(a.ambient_dim, list(a.basis) + list(b.basis))
-
-
-def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    stacked = IntMatrix.from_rows(list(a.basis) + [[-x for x in row] for row in b.basis], a.ambient_dim)
-    ker = left_kernel_saturated(stacked)
-    gens = [vec_mat(row[: a.rank], a.basis_matrix()) for row in ker.basis]
-    return Lattice.from_rows(a.ambient_dim, gens)
 
 
 def index_if_finite(lat: Lattice) -> int | None:
@@ -496,12 +461,6 @@ def evaluate_poly(p: IntPoly, m: IntMatrix) -> IntMatrix:
 
 
 # -- linear solving ------------------------------------------------------------
-
-
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of a list of integer rows: the pivots of one echelon pass, whose row operations keep it."""
-    work = [list(row) for row in rows]
-    return len(_echelon_rows(work, len(work[0]) if work else 0))
 
 
 def solve_rational(m: IntMatrix, b: Sequence, *more: Sequence) -> tuple[Fraction, ...] | None | list:

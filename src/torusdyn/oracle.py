@@ -7,7 +7,7 @@ points, a sample past the caps or a degenerate one.  The randomized-prime
 machinery takes explicit seeds so runs are reproducible; q - 1 of each prime
 it tries is factored by :func:`torusdyn.kummer.factorize`.  Only the
 commands that reach the density test load this module; the cross-checks
-that no command runs live in :mod:`torusdyn.reference`.
+that no command runs live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations

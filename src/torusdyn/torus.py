@@ -172,10 +172,6 @@ class Subtorus(Record):
     def trivial(n: int) -> Subtorus:
         return Subtorus(n, Lattice.full(n))
 
-    @staticmethod
-    def from_cochar_columns(cols: IntMatrix) -> Subtorus:
-        return Subtorus(cols.rows, left_kernel_saturated(cols))
-
     @property
     def dim(self) -> int:
         return self.ambient_dim - self.annihilator.rank

@@ -1,25 +1,79 @@
 """Reference routines that cross-check the pipeline at desk scale.
 
-Finite dynamical models at torsion level, companion-matrix eigenvalues and a
-brute-force search over bounded invariant cosets.  No command runs them, and
-no command imports this module; the tests hold the pipeline's answers
-against them.  The one numeric ingredient in the whole package
-(:func:`numeric_roots`) lives here.
+Finite dynamical models at torsion level, companion-matrix eigenvalues, a
+brute-force search over bounded invariant cosets, and the lattice and matrix
+helpers only the tests use.  No command runs them; the tests hold the
+pipeline's answers against them.  The one numeric ingredient
+(:func:`numeric_roots`) lives here, so the package never imports numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
-from .errors import OracleError, PreconditionError
-from .intlinalg import IntMatrix, Lattice, charpoly, left_kernel_saturated, mat_vec, solve_rational, vec_mat
-from .kummer import KummerNumber, char_eval, layers_of
-from .polyalg import IntPoly, cyclotomic_part, divisors
-from .record import Record
-from .torus import AffineMonomialMap
+from torusdyn.errors import OracleError, PreconditionError
+from torusdyn.intlinalg import (
+    IntMatrix,
+    Lattice,
+    _echelon_rows,
+    charpoly,
+    left_kernel_saturated,
+    solve_rational,
+    vec_mat,
+)
+from torusdyn.kummer import KummerNumber, char_eval, layers_of
+from torusdyn.polyalg import IntPoly, cyclotomic_part, divisors
+from torusdyn.record import Record
+from torusdyn.torus import AffineMonomialMap
 
 _STATE_SPACE_CAP = 200_000
+
+
+# -- lattices and matrices -------------------------------------------------------
+
+
+def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
+    """m times a column vector (entries may be ints or Fractions)."""
+    if m.cols != len(v):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(m[i, j] * v[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+def lattice_contains(lat: Lattice, vec: Sequence[int]) -> bool:
+    if len(vec) != lat.ambient_dim:
+        raise ValueError("dimension mismatch")
+    v = list(vec)
+    for row in lat.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        if v[p] % row[p] != 0:
+            return False
+        q = v[p] // row[p]
+        if q:
+            v = [s - q * t for s, t in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Lattice.from_rows(a.ambient_dim, list(a.basis) + list(b.basis))
+
+
+def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    stacked = IntMatrix.from_rows(list(a.basis) + [[-x for x in row] for row in b.basis], a.ambient_dim)
+    ker = left_kernel_saturated(stacked)
+    gens = [vec_mat(row[: a.rank], a.basis_matrix()) for row in ker.basis]
+    return Lattice.from_rows(a.ambient_dim, gens)
+
+
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a list of integer rows: the pivots of one echelon pass, whose row operations keep it."""
+    work = [list(row) for row in rows]
+    return len(_echelon_rows(work, len(work[0]) if work else 0))
 
 
 # -- finite dynamical models ---------------------------------------------------
@@ -100,7 +154,7 @@ def numeric_roots(p: IntPoly, tol: float = 1e-9) -> list[complex]:
     coefficient scale at that root, else an OracleError reports
     non-convergence.
     """
-    import numpy as np  # only this oracle uses numpy; importing the package stays light
+    import numpy as np  # only this oracle uses numpy; importing the other routines stays light
 
     if p.degree < 1:
         raise PreconditionError("numeric_roots requires degree >= 1")

@@ -23,19 +23,17 @@ from torusdyn.dynamics import (
 from torusdyn.intlinalg import (
     IntMatrix,
     evaluate_poly,
-    lattice_intersection,
-    lattice_sum,
     minpoly,
 )
 from torusdyn.kummer import char_eval, layers_of, one_point, parse_point
 from torusdyn.oracle import degenerate_sample, hypersurface_containment, orbit_sample
-from torusdyn.reference import finite_model_run, invariant_coset_search, numeric_roots
 from fractions import Fraction
 
 from torusdyn.polyalg import IntPoly, cyclotomic, euler_phi, quasi_unipotence, spectral_radius
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant
 
 from conftest import rand_point, rand_unipotent_automorphism
+from reference import finite_model_run, invariant_coset_search, lattice_intersection, lattice_sum, numeric_roots
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE_MAP = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))

@@ -28,7 +28,7 @@ from torusdyn.dynamics import (
     wildness_certificate,
 )
 from torusdyn.errors import PreconditionError
-from torusdyn.intlinalg import IntMatrix, Lattice, evaluate_poly, lattice_intersection, lattice_sum, left_kernel_saturated
+from torusdyn.intlinalg import IntMatrix, Lattice, evaluate_poly, left_kernel_saturated
 from torusdyn.intlinalg import minpoly, vec_mat
 from torusdyn.kummer import KummerNumber, char_eval, from_layers, layers_of, one_point, parse_point
 from torusdyn.polyalg import IntPoly
@@ -37,6 +37,7 @@ from torusdyn.oracle import degenerate_sample
 from torusdyn.torus import AffineMonomialMap, coset_cycle_invariant, monomial_image
 
 from conftest import rand_point, rand_unimodular_pair, rand_unipotent_automorphism
+from reference import lattice_contains, lattice_intersection, lattice_sum
 
 EX_WILD = AffineMonomialMap.build([[1, 0], [0, 1]], parse_point(["2", "3"]))
 EX_SHEAR = AffineMonomialMap.build([[1, 1], [0, 1]], parse_point(["1", "3"]))
@@ -321,7 +322,7 @@ def test_classify_finds_a_fibration_beyond_the_iterate_cap(rows, gamma):
     assert rep.flags == ("fibration witness found beyond iterate cap 1",)
     witness = rep.fibration
     assert witness.iterate > 1 and witness.verify(phi)
-    assert _fixed_character_lattice(phi, witness.iterate).contains(witness.character)
+    assert lattice_contains(_fixed_character_lattice(phi, witness.iterate), witness.character)
 
 
 def test_classify_non_automorphism_degree_one():
@@ -330,7 +331,24 @@ def test_classify_non_automorphism_degree_one():
     rep = classify(phi)
     assert rep.verdict == VERDICT_DENSE
     # a genuinely non-automorphism quasi-unipotent map does not exist (|det| of a
-    # quasi-unipotent integer matrix is 1), so the flag path needs no fixture
+    # quasi-unipotent integer matrix is 1), so classify has no such path
+
+
+def test_degree_one_maps_are_automorphisms():
+    # classify certifies every degree-one map as an automorphism: degree
+    # exactly one makes every eigenvalue a root of unity, so |det A| = 1
+    rng = random.Random(3101)
+    degree_one = 0
+    for _ in range(1500):
+        n = rng.randint(2, 4)
+        a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if a.det() == 0:
+            continue
+        phi = AffineMonomialMap(a, one_point(n))
+        if dynamical_degree(phi).exact_one:
+            degree_one += 1
+            assert abs(phi.det) == 1, a.to_rows()
+    assert degree_one >= 30
 
 
 def test_sample_points_lie_on_families():
@@ -479,7 +497,7 @@ def test_fixed_character_lattice_brute_force():
             for b in itertools.product(range(-3, 4), repeat=n):
                 in_kernel = not any(sum(x * row[j] for x, row in zip(b, fixed)) for j in range(n))
                 invariant = in_kernel and char_eval(gamma, b).is_one()
-                assert lat.contains(b) == invariant, (a.to_rows(), phi.translation, ell, b)
+                assert lattice_contains(lat, b) == invariant, (a.to_rows(), phi.translation, ell, b)
                 kernel += in_kernel
                 members += invariant
             proper += 1 < members < kernel

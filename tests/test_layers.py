@@ -20,13 +20,14 @@ from torusdyn.dynamics import (
     invariant_family,
     sample_family_points,
 )
-from torusdyn.intlinalg import IntMatrix, mat_vec, minpoly
+from torusdyn.intlinalg import IntMatrix, minpoly
 from torusdyn.kummer import KummerNumber, format_point, from_layers, layer_orders, layers_of, parse_point
 from torusdyn.oracle import hypersurface_containment
 from torusdyn.polyalg import cyclotomic_part
 from torusdyn.torus import AffineMonomialMap, Coset, _affine_step, coset_cycle_invariant, subtorus_image_under
 
 from conftest import prime_power, rand_point, rand_unimodular_pair
+from reference import mat_vec
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -26,11 +26,11 @@ from torusdyn.oracle import (
     hypersurface_containment,
     orbit_sample,
 )
-from torusdyn.reference import finite_model_run, invariant_coset_search, numeric_roots
 from torusdyn.polyalg import IntPoly, cyclotomic, quasi_unipotence, spectral_radius
 from torusdyn.torus import AffineMonomialMap
 
 from conftest import rand_kummer
+from reference import finite_model_run, invariant_coset_search, numeric_roots
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 

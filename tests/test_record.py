@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from torusdyn import dynamics, oracle, reference
+import reference
+from torusdyn import dynamics, oracle
 from torusdyn.cli import load_map_spec
 from torusdyn.intlinalg import IntMatrix, Lattice
 from torusdyn.kummer import layer_orders, layers_of, one_point
